@@ -1,6 +1,5 @@
 module Fault = Ftb_trace.Fault
 module Golden = Ftb_trace.Golden
-module Runner = Ftb_trace.Runner
 module Ground_truth = Ftb_inject.Ground_truth
 module Models = Ftb_inject.Models
 module Sample_run = Ftb_inject.Sample_run
@@ -54,15 +53,16 @@ let check_config config =
 
 type state = {
   config : config;
-  spec : Models.spec;
-  golden : Golden.t;
   total : int;
+  width : int;
   round_size : int;
-  sampled : (int, unit) Hashtbl.t;
-  mutable samples_rev : Sample_run.t list;
+  errors : float array;  (* injected error of every case, computed once *)
+  sampled : Bytes.t;  (* one byte per case, set once the case is drawn *)
+  pool : int array;  (* scratch for [plan_round]'s candidate cases *)
+  boundary : Boundary.Acc.t;
+  info : Info.Acc.t;
+  mutable batches_rev : Sample_run.t array list;
   mutable sample_count : int;
-  mutable boundary : Boundary.t;
-  mutable info : float array;
   mutable rounds : int;
 }
 
@@ -75,88 +75,76 @@ let state_create ?(config = default_config) ?(spec = Models.default_spec) golden
   in
   {
     config;
-    spec;
-    golden;
     total;
+    width = Models.spec_width spec;
     round_size;
-    sampled = Hashtbl.create (4 * round_size);
-    samples_rev = [];
+    errors = Array.init total (fun case -> Ground_truth.injected_error_model spec golden ~case);
+    sampled = Bytes.make total '\000';
+    pool = Array.make total 0;
+    boundary = Boundary.Acc.create ~filter:config.filter ~sites ();
+    info = Info.Acc.create golden;
+    batches_rev = [];
     sample_count = 0;
-    boundary = Boundary.create ~sites;
-    info = Array.make sites 0.;
     rounds = 0;
   }
 
-(* Rebuild boundary and information from scratch: the filter operation can
-   retroactively disqualify earlier propagation data once a smaller SDC
-   error is known, so incremental updates would drift. The sample set is
-   small by construction. *)
-let refresh state =
-  let sites = Golden.sites state.golden in
-  let all = Array.of_list (List.rev state.samples_rev) in
-  if Array.length all = 0 then begin
-    state.boundary <- Boundary.create ~sites;
-    state.info <- Array.make sites 0.
-  end
-  else begin
-    state.boundary <- Boundary.infer ~filter:state.config.filter ~sites all;
-    state.info <- Info.total (Info.collect state.golden all)
-  end
+(* Mark a batch's cases drawn and fold its samples into the boundary and
+   the information counts: the cost of a batch is its own size (plus the
+   sites whose filter floor it lowers), never the samples before it. *)
+let absorb state ~cases samples =
+  Array.iter (fun case -> Bytes.set state.sampled case '\001') cases;
+  state.batches_rev <- samples :: state.batches_rev;
+  state.sample_count <- state.sample_count + Array.length samples;
+  Boundary.Acc.absorb state.boundary samples;
+  Info.Acc.absorb state.info samples
 
 let case_of_sample state (s : Sample_run.t) =
-  let width = Models.spec_width state.spec in
-  (s.Sample_run.fault.Fault.site * width) + s.Sample_run.fault.Fault.bit
+  (s.Sample_run.fault.Fault.site * state.width) + s.Sample_run.fault.Fault.bit
 
 let state_restore ?config ?spec golden ~rounds samples =
   let state = state_create ?config ?spec golden in
-  Array.iter
-    (fun s ->
-      Hashtbl.replace state.sampled (case_of_sample state s) ();
-      state.samples_rev <- s :: state.samples_rev;
-      state.sample_count <- state.sample_count + 1)
-    samples;
+  absorb state ~cases:(Array.map (case_of_sample state) samples) samples;
   state.rounds <- rounds;
-  refresh state;
   state
 
 let state_rounds state = state.rounds
 let state_sample_count state = state.sample_count
 let state_total state = state.total
-let state_boundary state = state.boundary
-let state_samples state = Array.of_list (List.rev state.samples_rev)
+
+let state_boundary state = Boundary.Acc.snapshot state.boundary
+
+let state_samples state = Array.concat (List.rev state.batches_rev)
 
 let plan_round state rng =
-  (* Candidate pool: unsampled cases the current boundary does not
-     already predict masked — injecting those would teach us nothing
-     new about the boundary's upper side. *)
-  let width = Models.spec_width state.spec in
-  let candidates = ref [] in
-  let candidate_count = ref 0 in
-  for case = state.total - 1 downto 0 do
-    if not (Hashtbl.mem state.sampled case) then begin
-      let err = Ground_truth.injected_error_model state.spec state.golden ~case in
-      if not (err <= Boundary.threshold state.boundary (case / width)) then begin
-        candidates := case :: !candidates;
-        incr candidate_count
+  (* Candidate pool, in ascending case order: unsampled cases the current
+     boundary does not already predict masked — injecting those would
+     teach us nothing new about the boundary's upper side. *)
+  let width = state.width in
+  let count = ref 0 in
+  for site = 0 to (state.total / width) - 1 do
+    let threshold = Boundary.Acc.threshold state.boundary site in
+    for case = site * width to ((site + 1) * width) - 1 do
+      if Bytes.get state.sampled case = '\000' && not (state.errors.(case) <= threshold) then begin
+        state.pool.(!count) <- case;
+        incr count
       end
-    end
+    done
   done;
-  if !candidate_count = 0 then None
+  let count = !count in
+  if count = 0 then None
   else begin
-    let pool = Array.of_list !candidates in
-    let k = min state.round_size !candidate_count in
+    let k = min state.round_size count in
     let drawn_indices =
       if state.config.bias then begin
         let weights =
-          Array.map
-            (fun case -> 1. /. Float.max state.info.(case / width) 1.)
-            pool
+          Array.init count (fun i ->
+              1. /. Float.max (Info.Acc.total state.info (state.pool.(i) / width)) 1.)
         in
         Ftb_util.Sampling.weighted_without_replacement rng ~weights ~k
       end
-      else Ftb_util.Sampling.uniform rng ~n:!candidate_count ~k
+      else Ftb_util.Sampling.uniform rng ~n:count ~k
     in
-    Some (Array.map (fun idx -> pool.(idx)) drawn_indices)
+    Some (Array.map (fun idx -> state.pool.(idx)) drawn_indices)
   end
 
 let fold_round ?on_round state ~cases ~samples =
@@ -166,38 +154,27 @@ let fold_round ?on_round state ~cases ~samples =
       (Printf.sprintf "Adaptive.fold_round: %d samples for %d drawn cases"
          (Array.length samples) k);
   if k = 0 then invalid_arg "Adaptive.fold_round: empty round";
-  Array.iter (fun case -> Hashtbl.replace state.sampled case ()) cases;
-  let masked = ref 0 and sdc = ref 0 and crash = ref 0 in
-  Array.iter
-    (fun (s : Sample_run.t) ->
-      (match s.Sample_run.outcome with
-      | Runner.Masked -> incr masked
-      | Runner.Sdc -> incr sdc
-      | Runner.Crash -> incr crash);
-      state.samples_rev <- s :: state.samples_rev;
-      state.sample_count <- state.sample_count + 1)
-    samples;
+  let masked, sdc, crash = Sample_run.count_outcomes samples in
   state.rounds <- state.rounds + 1;
   (match on_round with
-  | Some f -> f ~round:state.rounds ~drawn:k ~masked:!masked ~sdc:!sdc ~crash:!crash
+  | Some f -> f ~round:state.rounds ~drawn:k ~masked ~sdc ~crash
   | None -> ());
-  refresh state;
-  let sdc_fraction = float_of_int !sdc /. float_of_int k in
-  if !masked = 0 || sdc_fraction >= state.config.stop_sdc_fraction then `Stop Converged
+  absorb state ~cases samples;
+  let sdc_fraction = float_of_int sdc /. float_of_int k in
+  if masked = 0 || sdc_fraction >= state.config.stop_sdc_fraction then `Stop Converged
   else if state.rounds >= state.config.max_rounds then `Stop Round_cap
   else `Continue
 
 let finish state stop_reason =
   {
-    boundary = state.boundary;
+    boundary = state_boundary state;
     samples = state_samples state;
     rounds = state.rounds;
     sample_fraction = float_of_int state.sample_count /. float_of_int state.total;
     stop_reason;
   }
 
-let run_model ?(config = default_config) ?on_round ?(spec = Models.default_spec) ?fuel rng
-    golden =
+let run ?(config = default_config) ?on_round ?(spec = Models.default_spec) ?fuel rng golden =
   let state = state_create ~config ~spec golden in
   let stop = ref Round_cap in
   (try
@@ -216,5 +193,3 @@ let run_model ?(config = default_config) ?on_round ?(spec = Models.default_spec)
      done
    with Exit -> ());
   finish state !stop
-
-let run ?config ?on_round rng golden = run_model ?config ?on_round rng golden

@@ -51,31 +51,30 @@ type result = {
 val run :
   ?config:config ->
   ?on_round:(round:int -> drawn:int -> masked:int -> sdc:int -> crash:int -> unit) ->
-  Ftb_util.Rng.t ->
-  Ftb_trace.Golden.t ->
-  result
-(** Run the progressive campaign against a program's golden run — the
-    serial oracle every other execution path must match byte for byte. *)
-
-val run_model :
-  ?config:config ->
-  ?on_round:(round:int -> drawn:int -> masked:int -> sdc:int -> crash:int -> unit) ->
   ?spec:Ftb_inject.Models.spec ->
   ?fuel:int ->
   Ftb_util.Rng.t ->
   Ftb_trace.Golden.t ->
   result
-(** {!run} generalized to an arbitrary fault model and an optional fuel
-    watchdog. With the default spec and no fuel this is exactly {!run}. *)
+(** Run the progressive campaign against a program's golden run under a
+    fault model ([spec], default bit-flip-64) with an optional [fuel]
+    watchdog — the serial oracle every other execution path must match
+    byte for byte. *)
 
 (** {1 The round state machine}
 
     One round is [plan_round] (draw the biased candidate set — the only
     RNG consumer) followed by executing the drawn cases anywhere
     ({!Ftb_inject.Sample_run.run_case_model} is the unit of work) and
-    [fold_round] (tally, rebuild boundary + information, decide whether
-    to stop). Drivers checkpoint between [plan_round] and [fold_round] by
-    saving the RNG state, the accumulated samples and the drawn cases. *)
+    [fold_round] (tally, fold the new samples into boundary +
+    information, decide whether to stop). Drivers checkpoint between
+    [plan_round] and [fold_round] by saving the RNG state, the
+    accumulated samples and the drawn cases.
+
+    A round costs O(cases in the space + its own samples), plus the
+    stored contributions of the sites whose §3.5 filter floor it lowers:
+    the injected error of every case is computed once, at
+    {!state_create}, and folding never revisits earlier samples. *)
 
 type state
 (** Mutable campaign state: sampled set, accumulated samples (draw
@@ -95,8 +94,9 @@ val state_restore :
   state
 (** Rebuild the state a driver had after folding [rounds] rounds whose
     accumulated samples (draw order) are given — the checkpoint-resume
-    path. The boundary and information are re-inferred from the samples,
-    so the restored state is indistinguishable from the original. *)
+    path. The samples are folded as one batch, which gives the same
+    boundary and information as folding them round by round, so the
+    restored state is indistinguishable from the original. *)
 
 val plan_round : state -> Ftb_util.Rng.t -> int array option
 (** Draw the next round's cases (dense case indices, in draw order).
@@ -111,9 +111,9 @@ val fold_round :
   [ `Stop of stop_reason | `Continue ]
 (** Fold one executed round: [samples.(i)] is the result of running
     [cases.(i)] (the array {!plan_round} returned, same order). Tallies,
-    reports [on_round], rebuilds the boundary and information, and
-    decides: [`Stop Converged] on the §3.4 criterion, [`Stop Round_cap]
-    at the cap, [`Continue] otherwise. Raises [Invalid_argument] on a
+    reports [on_round], folds the samples into the boundary and
+    information, and decides: [`Stop Converged] on the §3.4 criterion,
+    [`Stop Round_cap] at the cap, [`Continue] otherwise. Raises [Invalid_argument] on a
     length mismatch or an empty round. *)
 
 val finish : state -> stop_reason -> result
@@ -125,8 +125,9 @@ val state_total : state -> int
 (** Size of the model's complete sample space. *)
 
 val state_boundary : state -> Boundary.t
-(** The boundary inferred from everything folded so far. *)
+(** A copy of the boundary inferred from everything folded so far:
+    later rounds never mutate it. *)
 
 val state_samples : state -> Ftb_inject.Sample_run.t array
-(** Accumulated samples in draw order (copies the list; checkpoint-rate
-    usage only). *)
+(** Accumulated samples in draw order (a fresh array each call;
+    checkpoint-rate usage only). *)

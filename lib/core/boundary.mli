@@ -50,6 +50,27 @@ val infer :
     (default [false]) enables the §3.5 filter operation using the SDC
     samples in the same set. *)
 
+(** Incremental {!infer}: absorbs sample batches one at a time, and after
+    every batch equals [infer ?filter] over all samples absorbed so far.
+    A batch costs O(its propagation data + the stored contributions of
+    the sites whose filter floor it lowers), not a rebuild. *)
+module Acc : sig
+  type boundary := t
+  type t
+
+  val create : ?filter:bool -> sites:int -> unit -> t
+  (** Empty accumulator; [filter] (default [false]) as in {!infer}. *)
+
+  val absorb : t -> Ftb_inject.Sample_run.t array -> unit
+  (** Fold in one batch of samples. *)
+
+  val threshold : t -> int -> float
+  (** The current threshold of a site, without a snapshot. *)
+
+  val snapshot : t -> boundary
+  (** A copy of the current boundary; later batches do not change it. *)
+end
+
 val exhaustive : Ftb_inject.Ground_truth.t -> t
 (** The §4.1 brute-force boundary. Per site, with [E_m] the injected
     errors of masked flips and [E_s] those of SDC flips: the threshold is

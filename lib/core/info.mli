@@ -22,6 +22,22 @@ val is_significant : golden_value:float -> float -> bool
 val collect : Ftb_trace.Golden.t -> Ftb_inject.Sample_run.t array -> t
 (** Tally both information kinds over a sample set. *)
 
+(** Incremental {!collect}: after every batch, {!Acc.snapshot} equals
+    [collect] over all samples absorbed so far. *)
+module Acc : sig
+  type info := t
+  type t
+
+  val create : Ftb_trace.Golden.t -> t
+  val absorb : t -> Ftb_inject.Sample_run.t array -> unit
+
+  val total : t -> int -> float
+  (** [injected + propagated] at one site — {!total} without a copy. *)
+
+  val snapshot : t -> info
+  (** A copy; later batches do not change it. *)
+end
+
 val total : t -> float array
 (** [injected + propagated] per site — the [S_i] of the §3.4 bias term. *)
 

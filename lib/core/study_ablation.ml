@@ -33,7 +33,6 @@ let measure ~trials ~rng ~golden ~golden_sdc config =
   let fractions = Array.make trials 0. in
   let predictions = Array.make trials 0. in
   let rounds = Array.make trials 0. in
-  let recalls = Array.make trials 0. in
   for t = 0 to trials - 1 do
     let outcome = Adaptive.run ~config (Ftb_util.Rng.split rng) golden in
     let observations = Predict.observations_of_samples outcome.Adaptive.samples in
@@ -41,11 +40,10 @@ let measure ~trials ~rng ~golden ~golden_sdc config =
     predictions.(t) <-
       Predict.overall_sdc_ratio ~policy:Predict.Observed_all ~observations
         outcome.Adaptive.boundary golden;
-    rounds.(t) <- float_of_int outcome.Adaptive.rounds;
-    recalls.(t) <- float_of_int (Array.length outcome.Adaptive.samples)
+    rounds.(t) <- float_of_int outcome.Adaptive.rounds
   done;
   let abs_errors = Array.map (fun p -> abs_float (p -. golden_sdc)) predictions in
-  (fractions, predictions, rounds, abs_errors, recalls)
+  (fractions, predictions, rounds, abs_errors)
 
 let run ?(trials = 5) ?(round_fractions = [| 0.0005; 0.001; 0.005 |]) ~seed
     (context : Context.t) =
@@ -58,7 +56,7 @@ let run ?(trials = 5) ?(round_fractions = [| 0.0005; 0.001; 0.005 |]) ~seed
     [| (true, true); (true, false); (false, true); (false, false) |]
     |> Array.map (fun (bias, filter) ->
            let config = { Adaptive.default_config with Adaptive.bias; filter } in
-           let fractions, predictions, rounds, abs_errors, _ =
+           let fractions, predictions, rounds, abs_errors =
              measure ~trials ~rng ~golden ~golden_sdc config
            in
            {
@@ -80,7 +78,7 @@ let run ?(trials = 5) ?(round_fractions = [| 0.0005; 0.001; 0.005 |]) ~seed
     Array.map
       (fun round_fraction ->
         let config = { Adaptive.default_config with Adaptive.round_fraction } in
-        let fractions, _, rounds, abs_errors, _ =
+        let fractions, _, rounds, abs_errors =
           measure ~trials ~rng ~golden ~golden_sdc config
         in
         {

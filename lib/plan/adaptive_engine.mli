@@ -44,7 +44,7 @@ val run :
   Ftb_trace.Golden.t ->
   Ftb_core.Adaptive.result * stats
 (** Run (or resume) the adaptive campaign. The result is bit-identical to
-    [Adaptive.run_model] with the same config, spec, fuel and seed,
+    [Adaptive.run] with the same config, spec, fuel and seed,
     regardless of checkpoint interruptions or which [exec] ran the
     rounds. [name] is the kernel name recorded in checkpoints (space-free
     token). *)

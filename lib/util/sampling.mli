@@ -13,9 +13,12 @@ val weighted_without_replacement : Rng.t -> weights:float array -> k:int -> int 
 (** [weighted_without_replacement rng ~weights ~k] draws [k] distinct
     indices with probability proportional to [weights] (Efraimidis-Spirakis
     exponential-key reservoir: key_i = -ln(u)/w_i, take the [k] smallest).
-    Zero-weight indices are never selected unless fewer than [k] positive
-    weights exist, in which case [Invalid_argument] is raised. Negative or
-    NaN weights raise [Invalid_argument]. *)
+    The result is in ascending (key, index) order. One [Rng.float] is drawn
+    per positive weight, in index order, whatever [k] is. Zero-weight
+    indices are never selected, even when a tiny positive weight's key
+    overflows to infinity; fewer than [k] positive weights raise
+    [Invalid_argument]. Negative or NaN weights raise [Invalid_argument].
+    O(n log k) time, O(n) extra space. *)
 
 val inverse_information_weights : info:float array -> float array
 (** [inverse_information_weights ~info] is the paper's bias term: weight

@@ -1,5 +1,9 @@
 module Adaptive = Ftb_core.Adaptive
 module Boundary = Ftb_core.Boundary
+module Info = Ftb_core.Info
+module Sample_run = Ftb_inject.Sample_run
+module Fault = Ftb_trace.Fault
+module Runner = Ftb_trace.Runner
 module Predict = Ftb_core.Predict
 module Ground_truth = Ftb_inject.Ground_truth
 module Golden = Ftb_trace.Golden
@@ -101,6 +105,135 @@ let test_deterministic_given_seed () =
     (Array.length b.Adaptive.samples);
   Alcotest.(check int) "same rounds" a.Adaptive.rounds b.Adaptive.rounds
 
+(* --- incremental fold = batch rebuild ------------------------------ *)
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_boundary (a : Boundary.t) (b : Boundary.t) =
+  same_floats a.Boundary.thresholds b.Boundary.thresholds
+  && a.Boundary.support = b.Boundary.support
+
+let same_info (a : Info.t) (b : Info.t) =
+  same_floats a.Info.injected b.Info.injected && same_floats a.Info.propagated b.Info.propagated
+
+(* Absorb [batches] one at a time; after each, the accumulators must equal
+   [Boundary.infer] / [Info.collect] over the whole prefix. *)
+let incremental_matches_rebuild ~filter golden batches =
+  let sites = Golden.sites golden in
+  let bacc = Boundary.Acc.create ~filter ~sites () and iacc = Info.Acc.create golden in
+  let prefix = ref [||] in
+  List.for_all
+    (fun batch ->
+      Boundary.Acc.absorb bacc batch;
+      Info.Acc.absorb iacc batch;
+      prefix := Array.append !prefix batch;
+      same_boundary (Boundary.Acc.snapshot bacc) (Boundary.infer ~filter ~sites !prefix)
+      && same_info (Info.Acc.snapshot iacc) (Info.collect golden !prefix))
+    batches
+
+(* cg exercises wide propagation; the non-monotonic toy has masked
+   errors above SDC ones at one site, so a batch order that folds the
+   large masked error first is later disqualified by the filter. *)
+let fold_fixtures =
+  lazy
+    (let cg =
+       Golden.run
+         (Ftb_kernels.Cg.program { Ftb_kernels.Cg.grid = 4; iterations = 6; tolerance = 1e-4 })
+     in
+     let nm = Golden.run (Helpers.nonmonotonic_program ()) in
+     let cases =
+       Rng.sample_without_replacement (Rng.create ~seed:21) ~n:(Golden.cases cg) ~k:600
+     in
+     [|
+       (cg, Array.map (Sample_run.run_case cg) cases);
+       (nm, Array.init (Golden.cases nm) (Sample_run.run_case nm));
+     |])
+
+let prop_incremental_fold =
+  QCheck.Test.make ~name:"incremental boundary/info = rebuild after every batch" ~count:60
+    QCheck.(triple small_int bool bool)
+    (fun (seed, filter, toy) ->
+      let golden, all = (Lazy.force fold_fixtures).(if toy then 1 else 0) in
+      let rng = Rng.create ~seed in
+      let samples = Array.copy all in
+      Rng.shuffle rng samples;
+      let rec cut i acc =
+        if i >= Array.length samples then List.rev acc
+        else begin
+          let len = min (1 + Rng.int rng (Array.length samples / 8)) (Array.length samples - i) in
+          cut (i + len) (Array.sub samples i len :: acc)
+        end
+      in
+      incremental_matches_rebuild ~filter golden (cut 0 []))
+
+let sample ~site ~outcome ~error ?propagation () =
+  {
+    Sample_run.fault = Fault.make ~site ~bit:0;
+    outcome;
+    crash_reason = None;
+    injected_error = error;
+    propagation;
+  }
+
+let test_floor_drop_disqualifies_earlier_evidence () =
+  let g = Golden.run (Helpers.linear_program ()) in
+  let masked start devs =
+    sample ~site:start ~outcome:Runner.Masked ~error:devs.(0) ~propagation:(start, devs) ()
+  in
+  let sdc site error = sample ~site ~outcome:Runner.Sdc ~error () in
+  let batches =
+    [
+      [| masked 0 [| 0.5; 0.4; 0.3 |]; sdc 1 10. |];
+      (* A smaller SDC error at site 1 rejects the 0.4 folded a batch ago. *)
+      [| sdc 1 0.2; masked 2 [| 0.25 |] |];
+      [| masked 1 [| 0.1; 0.05 |] |];
+    ]
+  in
+  Alcotest.(check bool) "matches rebuild after every batch" true
+    (incremental_matches_rebuild ~filter:true g batches);
+  let acc = Boundary.Acc.create ~filter:true ~sites:(Golden.sites g) () in
+  List.iteri
+    (fun i batch ->
+      Boundary.Acc.absorb acc batch;
+      let b = Boundary.Acc.snapshot acc in
+      match i with
+      | 0 ->
+          Helpers.check_close "site 1 before the drop" 0.4 (Boundary.threshold b 1);
+          Alcotest.(check int) "site 1 support before" 1 b.Boundary.support.(1)
+      | 1 ->
+          Helpers.check_close "site 1 after the drop" 0. (Boundary.threshold b 1);
+          Alcotest.(check int) "site 1 support after" 0 b.Boundary.support.(1);
+          Helpers.check_close "site 2 keeps the max" 0.3 (Boundary.threshold b 2);
+          Alcotest.(check int) "site 2 support" 2 b.Boundary.support.(2)
+      | _ -> Helpers.check_close "new evidence below the floor" 0.1 (Boundary.threshold b 1))
+    batches
+
+let test_round_snapshots_are_frozen () =
+  let g = Lazy.force golden in
+  let state = Adaptive.state_create ~config:small_config g in
+  let rng = Rng.create ~seed:10 in
+  let round () =
+    match Adaptive.plan_round state rng with
+    | None -> Alcotest.fail "pool exhausted too early"
+    | Some cases ->
+        let samples = Array.map (Sample_run.run_case g) cases in
+        ignore (Adaptive.fold_round state ~cases ~samples)
+  in
+  let sites = Golden.sites g in
+  for _ = 1 to 3 do
+    round ();
+    let before = Adaptive.state_boundary state in
+    let frozen = Boundary.copy before in
+    Alcotest.(check bool) "state boundary = rebuild over the prefix" true
+      (same_boundary before
+         (Boundary.infer ~filter:true ~sites (Adaptive.state_samples state)));
+    round ();
+    Alcotest.(check bool) "next round leaves the snapshot alone" true
+      (same_boundary before frozen)
+  done
+
 let suite =
   [
     Alcotest.test_case "runs and terminates" `Quick test_runs_and_terminates;
@@ -114,4 +247,8 @@ let suite =
     Alcotest.test_case "on_round callback" `Quick test_on_round_callback;
     Alcotest.test_case "unbiased variant" `Quick test_unbiased_variant_runs;
     Alcotest.test_case "deterministic given seed" `Quick test_deterministic_given_seed;
+    Alcotest.test_case "floor drop disqualifies earlier evidence" `Quick
+      test_floor_drop_disqualifies_earlier_evidence;
+    Alcotest.test_case "round snapshots are frozen" `Quick test_round_snapshots_are_frozen;
+    Helpers.qcheck_to_alcotest prop_incremental_fold;
   ]

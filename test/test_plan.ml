@@ -77,9 +77,9 @@ let check_same_result msg (a : Adaptive.result) (b : Adaptive.result) =
 
 let test_engine_matches_serial_oracle () =
   let g = Lazy.force golden in
-  let oracle = Adaptive.run_model ~config:small_config (Rng.create ~seed:11) g in
+  let oracle = Adaptive.run ~config:small_config (Rng.create ~seed:11) g in
   let result, stats = AE.run ~config:small_config ~name:"lin" ~seed:11 g in
-  check_same_result "engine vs Adaptive.run_model" oracle result;
+  check_same_result "engine vs Adaptive.run" oracle result;
   Alcotest.(check int) "all samples fresh" (Array.length result.Adaptive.samples)
     stats.AE.fresh_samples;
   Alcotest.(check int) "nothing resumed" 0 stats.AE.resumed_samples
@@ -216,7 +216,7 @@ let test_round_checkpoint_roundtrip () =
 (* Boundary store                                                      *)
 
 let entry_of ?(seed = 21) ?(created = 1000.) ?(prov = BS.prov_local) g =
-  let r = Adaptive.run_model ~config:small_config (Rng.create ~seed) g in
+  let r = Adaptive.run ~config:small_config (Rng.create ~seed) g in
   BS.entry_of_result ~prov ~bench:"lin" ~spec:Models.default_spec ~fuel:None
     ~config:small_config ~seed ~created g r
 
@@ -311,7 +311,7 @@ let test_warm_start_never_changes_boundary () =
   let _, store = tmp_store "warm" in
   let entry = entry_of ~seed:41 g in
   BS.put store entry;
-  let cold = Adaptive.run_model ~config:small_config (Rng.create ~seed:41) g in
+  let cold = Adaptive.run ~config:small_config (Rng.create ~seed:41) g in
   match BS.find store ~key:entry.BS.key with
   | None -> Alcotest.fail "warm entry missing"
   | Some warm ->

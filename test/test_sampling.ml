@@ -135,15 +135,67 @@ let prop_weighted_edge_cases =
       && S.for_all (fun i -> weights.(i) > 0.) full_set
       && over_n_raises && over_positive_raises)
 
+(* The full-sort sampler this module used to ship, kept as the oracle of
+   the bounded-heap rewrite: same keys, same RNG stream, same order. *)
+let oracle_weighted rng ~weights ~k =
+  let keys =
+    Array.mapi
+      (fun i w ->
+        if w = 0. then (infinity, i)
+        else begin
+          let u = 1. -. Rng.float rng 1. in
+          (-.log u /. w, i)
+        end)
+      weights
+  in
+  Array.sort compare keys;
+  Array.init k (fun j -> snd keys.(j))
+
+let test_tiny_weight_beats_zero () =
+  (* -ln(u)/1e-320 overflows to infinity; it must still rank before the
+     zero weight, which may never be drawn. *)
+  for seed = 1 to 1000 do
+    let rng = Rng.create ~seed in
+    let s = Sampling.weighted_without_replacement rng ~weights:[| 0.; 1e-320 |] ~k:1 in
+    if s <> [| 1 |] then Alcotest.failf "seed %d drew the zero-weight index" seed
+  done
+
+let prop_weighted_matches_full_sort =
+  (* Infinite weights all get key 0 and subnormal ones overflow to an
+     infinite key, so both force (key, index) ties. Subnormals only appear
+     without zeros: with zeros the oracle has the zero-weight bug. *)
+  let weight_gen =
+    QCheck.Gen.(
+      bool >>= fun tiny ->
+      let choices =
+        if tiny then [| 1e-320; 5e-324; 1.; infinity |] else [| 0.; 0.25; 1.; 3.; infinity |]
+      in
+      list_size (int_range 1 40)
+        (map (fun i -> choices.(i)) (int_bound (Array.length choices - 1))))
+  in
+  QCheck.Test.make ~name:"weighted heap sampler = full-sort oracle (indices and RNG state)"
+    ~count:500
+    (QCheck.make QCheck.Gen.(triple weight_gen small_nat int))
+    (fun (raw, k_seed, seed) ->
+      let weights = Array.of_list raw in
+      let positive = Array.fold_left (fun acc w -> if w > 0. then acc + 1 else acc) 0 weights in
+      let k = k_seed mod (positive + 1) in
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let got = Sampling.weighted_without_replacement a ~weights ~k in
+      let want = oracle_weighted b ~weights ~k in
+      got = want && Rng.state a = Rng.state b)
+
 let suite =
   [
     Alcotest.test_case "uniform delegates" `Quick test_uniform_delegates;
     Alcotest.test_case "weighted distinct/positive" `Quick test_weighted_distinct_and_positive;
     Alcotest.test_case "weighted bias" `Quick test_weighted_bias;
     Alcotest.test_case "weighted errors" `Quick test_weighted_errors;
+    Alcotest.test_case "tiny weight beats zero" `Quick test_tiny_weight_beats_zero;
     Alcotest.test_case "inverse information weights" `Quick test_inverse_information_weights;
     Alcotest.test_case "stratified indices" `Quick test_stratified_indices;
     Helpers.qcheck_to_alcotest prop_stratified_covers;
     Helpers.qcheck_to_alcotest prop_uniform_edge_cases;
     Helpers.qcheck_to_alcotest prop_weighted_edge_cases;
+    Helpers.qcheck_to_alcotest prop_weighted_matches_full_sort;
   ]

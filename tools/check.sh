@@ -27,6 +27,6 @@ echo "== dune runtest"
 dune runtest
 
 echo "== smoke aliases"
-dune build @campaign-smoke @bench-smoke @service-smoke @chaos-smoke @fleet-smoke @model-smoke @ir-smoke @compose-smoke @audit-smoke @adaptive-smoke --force
+dune build @campaign-smoke @bench-smoke @service-smoke @chaos-smoke @fleet-smoke @model-smoke @ir-smoke @compose-smoke @audit-smoke @adaptive-smoke @paper-pin --force
 
 echo "all checks passed"
