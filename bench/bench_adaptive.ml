@@ -184,7 +184,7 @@ let bench_daemon_config ~resolve ~tag ~workers ~benches ~seeds =
   let state_dir = fresh_dir tag in
   let sock = Filename.concat state_dir "daemon.sock" in
   let ready_r, ready_w = Unix.pipe () in
-  let fleet = if workers = 0 then None else Some (Fleet.create ~poll:0.005 ()) in
+  let fleet = if workers = 0 then None else Some (Fleet.create ()) in
   let daemon = spawn_daemon ~resolve ~fleet ~state_dir sock in
   let worker_pids = List.init workers (fun _ -> spawn_worker ~resolve sock ready_w) in
   List.iter

@@ -101,9 +101,10 @@ let fresh_dir tag =
 let spawn_daemon ~resolve ~audit_rate ~state_dir sock =
   match Unix.fork () with
   | 0 ->
-      (* A short idle poll keeps lease round-trip latency (which this
-         benchmark measures) from being dominated by worker sleep. *)
-      let fleet = Fleet.create ~poll:0.005 ~audit_rate () in
+      (* The shipped poll: idle lease requests are held and answered as
+         soon as a shard is published, so the poll interval no longer
+         adds to lease round-trip latency. *)
+      let fleet = Fleet.create ~audit_rate () in
       let config =
         {
           (Server.default_config ~state_dir) with

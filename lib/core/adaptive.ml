@@ -147,6 +147,12 @@ let plan_round state rng =
     Some (Array.map (fun idx -> state.pool.(idx)) drawn_indices)
   end
 
+let round_verdict config ~rounds ~drawn ~masked ~sdc =
+  let sdc_fraction = float_of_int sdc /. float_of_int drawn in
+  if masked = 0 || sdc_fraction >= config.stop_sdc_fraction then Some Converged
+  else if rounds >= config.max_rounds then Some Round_cap
+  else None
+
 let fold_round ?on_round state ~cases ~samples =
   let k = Array.length cases in
   if Array.length samples <> k then
@@ -160,10 +166,9 @@ let fold_round ?on_round state ~cases ~samples =
   | Some f -> f ~round:state.rounds ~drawn:k ~masked ~sdc ~crash
   | None -> ());
   absorb state ~cases samples;
-  let sdc_fraction = float_of_int sdc /. float_of_int k in
-  if masked = 0 || sdc_fraction >= state.config.stop_sdc_fraction then `Stop Converged
-  else if state.rounds >= state.config.max_rounds then `Stop Round_cap
-  else `Continue
+  match round_verdict state.config ~rounds:state.rounds ~drawn:k ~masked ~sdc with
+  | Some reason -> `Stop reason
+  | None -> `Continue
 
 let finish state stop_reason =
   {

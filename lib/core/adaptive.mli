@@ -116,6 +116,13 @@ val fold_round :
     [`Stop Round_cap] at the cap, [`Continue] otherwise. Raises [Invalid_argument] on a
     length mismatch or an empty round. *)
 
+val round_verdict :
+  config -> rounds:int -> drawn:int -> masked:int -> sdc:int -> stop_reason option
+(** The decision {!fold_round} takes after folding the [rounds]-th round,
+    from that round's draw size and tallies: [Some Converged],
+    [Some Round_cap] or [None] (continue). A resumed driver uses it to recover the verdict
+    on a round whose folding it recorded but whose stop it did not. *)
+
 val finish : state -> stop_reason -> result
 (** Package the final state. *)
 

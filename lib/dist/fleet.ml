@@ -1,4 +1,6 @@
 module Json = Ftb_service.Json
+module Server = Ftb_service.Server
+module Wakeup = Ftb_service.Wakeup
 module Engine = Ftb_campaign.Engine
 module Checkpoint = Ftb_campaign.Checkpoint
 module P = Worker_proto
@@ -8,6 +10,7 @@ type worker_info = {
   w_name : string;
   w_domains : int;
   mutable last_seen : float;
+  mutable holds : int;  (* lease requests of this worker being held *)
   mutable detached : bool;
   mutable quarantined : bool;
   mutable w_committed : int;
@@ -74,6 +77,13 @@ type job_provenance = { jp_workers : string list; jp_audited : bool }
 
 type t = {
   mutex : Mutex.t;
+  (* One fleet-wide wake-up, signalled by every change that can unblock
+     a waiter: a lease table published; a shard committed, failed,
+     released or expired; a worker registered, detached or quarantined;
+     the daemon stopping. Its waiters are the scheduler's drive loop and
+     held lease requests. *)
+  wake : Wakeup.t;
+  mutable stopping : bool;
   lease_ttl : float;
   poll : float;
   audit_rate : float;
@@ -123,6 +133,8 @@ let create ?(lease_ttl = 5.0) ?(poll = 0.05) ?(audit_rate = 0.02)
     invalid_arg "Fleet.create: quarantine_after must be positive";
   {
     mutex = Mutex.create ();
+    wake = Wakeup.create ();
+    stopping = false;
     lease_ttl;
     poll;
     audit_rate;
@@ -155,6 +167,15 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+let wake t = Wakeup.signal t.wake
+
+let expire_locked t table ~now:t_now =
+  let n = Lease.expire table ~now:t_now in
+  if n > 0 then begin
+    t.expired <- t.expired + n;
+    wake t
+  end
+
 let set_on_quarantine t f = with_lock t (fun () -> t.on_quarantine <- Some f)
 
 let stats t =
@@ -173,17 +194,20 @@ let stats t =
       })
 
 (* A worker is live while its frames keep arriving: idle workers refresh
-   [last_seen] on every lease poll, busy ones on every heartbeat, so a
-   SIGKILLed worker goes silent and ages out after ~3 lease TTLs — the
-   same deadline family as the PR 4 stuck-job watchdog, applied to remote
+   [last_seen] at both ends of every held lease request (and count as
+   live while one is held), busy ones on every heartbeat, so a SIGKILLed
+   worker goes silent and ages out after ~3 lease TTLs — the same
+   deadline family as the stuck-job watchdog, applied to remote
    executors. *)
 let live_window t = 3. *. t.lease_ttl
+
+let heard_within w ~now:t_now ~window = w.holds > 0 || t_now -. w.last_seen <= window
 
 let live_workers_locked t ~now:t_now =
   List.filter
     (fun w ->
       (not w.detached) && (not w.quarantined)
-      && t_now -. w.last_seen <= live_window t)
+      && heard_within w ~now:t_now ~window:(live_window t))
     t.workers
 
 let live_workers t = with_lock t (fun () -> List.length (live_workers_locked t ~now:(now ())))
@@ -206,7 +230,7 @@ let prune_workers_locked t ~now:t_now =
     List.filter
       (fun w ->
         (not w.detached) && (not w.quarantined)
-        && t_now -. w.last_seen <= prune_window t)
+        && heard_within w ~now:t_now ~window:(prune_window t))
       t.workers
 
 let live_slots_locked t ~now:t_now =
@@ -265,53 +289,122 @@ let handle_register t json =
               w_domains = domains;
               last_seen = t_now;
               detached = false;
+              holds = 0;
               quarantined = false;
               w_committed = 0;
               w_failed = 0;
               w_disputed = 0;
             }
             :: t.workers;
+          wake t;
           P.registered ~worker:wid ~ttl:t.lease_ttl)
 
+(* Grant the first leasable shard of the active table to [wid], if any.
+   A grant whose reply cannot be written (the worker died while its
+   request was held) releases its lease at once instead of leaving the
+   shard to sit out the TTL. *)
+let grant_locked t ~wid =
+  match t.active with
+  | None -> None
+  | Some a -> (
+      let t_now = now () in
+      expire_locked t a.table ~now:t_now;
+      match
+        Lease.acquire a.table ~max_cases:P.max_result_cases ~holder:wid ~now:t_now
+          ~ttl:t.lease_ttl
+      with
+      | None -> None
+      | Some g ->
+          t.granted <- t.granted + 1;
+          let frame =
+            P.grant_frame
+              {
+                P.job_id = a.a_job;
+                bench = a.a_bench;
+                fuel = a.a_fuel;
+                model = a.a_model;
+                fingerprint = a.a_fingerprint;
+                lease_id = g.Lease.lease_id;
+                shard = g.Lease.shard;
+                lo = g.Lease.lo;
+                hi = g.Lease.hi;
+                ttl = t.lease_ttl;
+                cases =
+                  Option.map
+                    (fun cases -> Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
+                    a.a_cases;
+              }
+          in
+          let undelivered () =
+            with_lock t (fun () ->
+                if Lease.release a.table ~lease_id:g.Lease.lease_id then begin
+                  t.expired <- t.expired + 1;
+                  wake t
+                end)
+          in
+          Some { Server.frame; undelivered })
+
+(* A lease request with nothing leasable is held: the connection thread
+   sleeps on the fleet wake-up (outside the fleet mutex) until a shard
+   becomes leasable or [poll] elapses, then answers [Wait 0] so the
+   worker asks again at once. Idle traffic stays one request per [poll]
+   per worker, but a published round reaches a waiting worker
+   immediately instead of at its next poll tick. Quarantine, detach and
+   registration are re-checked under the lock before every grant. *)
 let handle_lease t json =
   let wid = P.req_int "worker" json in
-  with_lock t (fun () ->
-      if quarantined_locked t wid then
-        P.error_frame "quarantined"
-          (Printf.sprintf "worker %d is quarantined; leases are refused" wid)
-      else if not (touch_worker_locked t wid) then
-        P.error_frame "unknown_worker" (Printf.sprintf "no worker %d" wid)
-      else
-        match t.active with
-        | None -> P.wait_frame ~poll:t.poll
-        | Some a -> (
-            let t_now = now () in
-            t.expired <- t.expired + Lease.expire a.table ~now:t_now;
-            match
-              Lease.acquire a.table ~max_cases:P.max_result_cases ~holder:wid
-                ~now:t_now ~ttl:t.lease_ttl
-            with
-            | None -> P.wait_frame ~poll:t.poll
-            | Some g ->
-                t.granted <- t.granted + 1;
-                P.grant_frame
-                  {
-                    P.job_id = a.a_job;
-                    bench = a.a_bench;
-                    fuel = a.a_fuel;
-                    model = a.a_model;
-                    fingerprint = a.a_fingerprint;
-                    lease_id = g.Lease.lease_id;
-                    shard = g.Lease.shard;
-                    lo = g.Lease.lo;
-                    hi = g.Lease.hi;
-                    ttl = t.lease_ttl;
-                    cases =
-                      Option.map
-                        (fun cases ->
-                          Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
-                        a.a_cases;
-                  }))
+  let deadline = now () +. t.poll in
+  let refusal_locked () =
+    if quarantined_locked t wid then
+      Some
+        (P.error_frame "quarantined"
+           (Printf.sprintf "worker %d is quarantined; leases are refused" wid))
+    else
+      match find_worker_locked t wid with
+      | Some w when not w.detached -> None
+      | Some _ -> Some (P.error_frame "unknown_worker" (Printf.sprintf "worker %d detached" wid))
+      | None -> Some (P.error_frame "unknown_worker" (Printf.sprintf "no worker %d" wid))
+  in
+  let start =
+    with_lock t (fun () ->
+        match refusal_locked () with
+        | Some frame -> Error frame
+        | None ->
+            let w = Option.get (find_worker_locked t wid) in
+            w.last_seen <- now ();
+            w.holds <- w.holds + 1;
+            Ok w)
+  in
+  match start with
+  | Error frame -> Server.reply frame
+  | Ok w ->
+      Fun.protect
+        ~finally:(fun () ->
+          with_lock t (fun () ->
+              w.holds <- w.holds - 1;
+              w.last_seen <- now ()))
+        (fun () ->
+          let rec attempt () =
+            let step =
+              with_lock t (fun () ->
+                  match refusal_locked () with
+                  | Some frame -> `Reply (Server.reply frame)
+                  | None -> (
+                      match grant_locked t ~wid with
+                      | Some reply -> `Reply reply
+                      | None ->
+                          if t.stopping then `Reply (Server.reply (P.wait_frame ~poll:t.poll))
+                          else if now () >= deadline then
+                            `Reply (Server.reply (P.wait_frame ~poll:0.))
+                          else `Hold (Wakeup.generation t.wake)))
+            in
+            match step with
+            | `Reply reply -> reply
+            | `Hold gen ->
+                Wakeup.wait t.wake ~since:gen ~until:deadline;
+                attempt ()
+          in
+          attempt ())
 
 let handle_heartbeat t json =
   let wid = P.req_int "worker" json in
@@ -333,6 +426,10 @@ let handle_result t json =
   let job = P.req_int "job" json in
   let lease_id = P.req_int "lease" json in
   let shard = P.req_int "shard" json in
+  (* Every answer below either changed a shard (commit, failure, a
+     digest-mismatch release) or was stale; one wake-up after the lock
+     covers them all. *)
+  Fun.protect ~finally:(fun () -> wake t) @@ fun () ->
   with_lock t (fun () ->
       ignore (touch_worker_locked t wid : bool);
       if quarantined_locked t wid then
@@ -519,6 +616,7 @@ let handle_detach t json =
           | Some a -> t.expired <- t.expired + Lease.release_holder a.table ~holder:wid
           | None -> ())
       | None -> ());
+      wake t;
       P.detached_frame)
 
 let handle_workers t _json =
@@ -548,20 +646,26 @@ let handle_clear t json =
       t.barred <- List.filter (fun (n, _) -> n <> name) t.barred;
       P.cleared_frame ~cleared)
 
-let extension t ~cmd json =
-  let guarded f =
-    try f t json with
-    | P.Decode_error msg -> P.error_frame "bad_request" msg
+let stop t =
+  with_lock t (fun () -> t.stopping <- true);
+  wake t
+
+let extension t =
+  let handle ~cmd json =
+    let bad_request msg = P.error_frame "bad_request" msg in
+    let guarded f = Server.reply (try f t json with P.Decode_error msg -> bad_request msg) in
+    match cmd with
+    | "worker_register" -> Some (guarded handle_register)
+    | "worker_lease" -> (
+        Some (try handle_lease t json with P.Decode_error msg -> Server.reply (bad_request msg)))
+    | "worker_heartbeat" -> Some (guarded handle_heartbeat)
+    | "worker_result" -> Some (guarded handle_result)
+    | "worker_detach" -> Some (guarded handle_detach)
+    | "worker_stats" -> Some (guarded handle_workers)
+    | "worker_clear" -> Some (guarded handle_clear)
+    | _ -> None
   in
-  match cmd with
-  | "worker_register" -> Some (guarded handle_register)
-  | "worker_lease" -> Some (guarded handle_lease)
-  | "worker_heartbeat" -> Some (guarded handle_heartbeat)
-  | "worker_result" -> Some (guarded handle_result)
-  | "worker_detach" -> Some (guarded handle_detach)
-  | "worker_stats" -> Some (guarded handle_workers)
-  | "worker_clear" -> Some (guarded handle_clear)
-  | _ -> None
+  { Server.handle; on_shutdown = (fun () -> stop t) }
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine. Registry mutations happen under the mutex; the operator
@@ -581,9 +685,10 @@ let quarantine_locked t ~wid ~name ~disputes =
   (* Revoke anything the worker still holds so surviving workers (or the
      local fallback) pick the shards up immediately instead of waiting
      out the lease TTL. *)
-  match t.active with
+  (match t.active with
   | Some a -> t.expired <- t.expired + Lease.release_holder a.table ~holder:wid
-  | None -> ()
+  | None -> ());
+  wake t
 
 (* ------------------------------------------------------------------ *)
 (* The engine-facing wave runner (scheduler thread). *)
@@ -747,16 +852,91 @@ let job_provenance t ~job_id =
         in
         Some { jp_workers; jp_audited })
 
+(* Shared scheduler-thread plumbing of both runners. *)
+
+let begin_job t ~job_id =
+  with_lock t (fun () ->
+      if t.audit_job <> Some job_id then begin
+        t.audit_job <- Some job_id;
+        t.audit_records <- [];
+        t.audited_wids <- []
+      end)
+
+(* Make [tasks] the active lease table and wake held lease requests. *)
+let publish t ~job_id ~bench ~fuel ~model ~fingerprint ~commit ~cases tasks =
+  with_lock t (fun () ->
+      let table = Lease.create ~first_lease:t.next_lease tasks in
+      t.active <-
+        Some
+          {
+            a_job = job_id;
+            a_bench = bench;
+            a_fuel = fuel;
+            a_model = model;
+            a_fingerprint = fingerprint;
+            table;
+            a_commit = commit;
+            a_cases = cases;
+          };
+      wake t;
+      table)
+
+(* Drive a published table to completion and close it. The loop sleeps
+   on the fleet wake-up, so a commit, failure, release or worker change
+   is seen at once; deadline checks (lease expiry, liveness, pruning)
+   still run at least every [min poll (ttl / 4)]. When no live worker
+   remains, [run_local] executes the next pending shard: the local pool
+   is the executor of last resort, so the table (and the job) always
+   completes. Its leases never expire ([ttl = infinity]) — the local
+   runner cannot be SIGKILLed away from under the daemon. *)
+let drive t table ~run_local =
+  let tick = Float.min t.poll (t.lease_ttl /. 4.) in
+  let rec loop () =
+    let claim =
+      with_lock t (fun () ->
+          let t_now = now () in
+          prune_workers_locked t ~now:t_now;
+          expire_locked t table ~now:t_now;
+          if Lease.outstanding table = 0 then begin
+            t.next_lease <- Lease.next_lease table;
+            t.active <- None;
+            `Finished (Lease.results table)
+          end
+          else
+            let local =
+              if live_workers_locked t ~now:t_now = [] then
+                Lease.acquire table ~holder:local_holder ~now:t_now ~ttl:infinity
+              else None
+            in
+            match local with
+            | Some g -> `Local g
+            | None -> `Wait (Wakeup.generation t.wake))
+    in
+    match claim with
+    | `Finished results -> results
+    | `Local g ->
+        run_local g;
+        loop ()
+    | `Wait gen ->
+        Wakeup.wait t.wake ~since:gen ~until:(now () +. tick);
+        loop ()
+  in
+  loop ()
+
+(* Trust-but-verify before the caller sees a byte: sample-audit the job's
+   remote commits (escalating on any dispute), then fire the quarantine
+   hook for anyone convicted. *)
+let audit_and_report t ~fuel ~model ~golden ~fingerprint ~commit =
+  let quarantined_now = audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit in
+  match with_lock t (fun () -> t.on_quarantine) with
+  | Some hook -> List.iter (fun (name, disputes) -> hook ~name ~disputes) quarantined_now
+  | None -> ()
+
 let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
   if live_workers t = 0 then None
   else
     let fingerprint = Checkpoint.fingerprint_of_golden golden in
-    with_lock t (fun () ->
-        if t.audit_job <> Some job_id then begin
-          t.audit_job <- Some job_id;
-          t.audit_records <- [];
-          t.audited_wids <- []
-        end);
+    begin_job t ~job_id;
     let wave_size () =
       with_lock t (fun () -> max 2 (2 * live_slots_locked t ~now:(now ())))
     in
@@ -782,87 +962,30 @@ let wave_runner t ~job_id ~bench ~fuel ~model ~golden =
           |> Array.of_list
         in
         let table =
-          with_lock t (fun () ->
-              let table = Lease.create ~first_lease:t.next_lease leased in
-              t.active <-
-                Some
-                  {
-                    a_job = job_id;
-                    a_bench = bench;
-                    a_fuel = fuel;
-                    a_model = model;
-                    a_fingerprint = fingerprint;
-                    table;
-                    a_commit = commit;
-                    a_cases = None;
-                  };
-              table)
+          publish t ~job_id ~bench ~fuel ~model ~fingerprint ~commit ~cases:None leased
         in
         (* The lease table is live before any oversized shard runs on the
            scheduler thread: workers drain the leased (wire-sized) shards
            concurrently instead of idling behind the local work. *)
         let big_results = List.map run_one_local big in
-        let finish () =
-          with_lock t (fun () ->
-              t.next_lease <- Lease.next_lease table;
-              t.active <- None;
-              Lease.results table)
+        let run_local (g : Lease.grant) =
+          match run_local ~lo:g.Lease.lo ~hi:g.Lease.hi with
+          | () ->
+              with_lock t (fun () ->
+                  match Lease.commit table ~shard:g.Lease.shard with
+                  | `Committed -> t.local_committed <- t.local_committed + 1
+                  | `Stale | `Unknown -> t.stale <- t.stale + 1)
+          | exception e ->
+              with_lock t (fun () ->
+                  ignore
+                    (Lease.fail table ~lease_id:g.Lease.lease_id
+                       ~message:(Printexc.to_string e)
+                      : [ `Committed | `Stale ]))
         in
-        let rec drive () =
-          let claim =
-            with_lock t (fun () ->
-                let t_now = now () in
-                prune_workers_locked t ~now:t_now;
-                t.expired <- t.expired + Lease.expire table ~now:t_now;
-                if Lease.outstanding table = 0 then `Finished
-                else if live_workers_locked t ~now:t_now = [] then
-                  (* Every worker is dead or gone: the local pool is the
-                     executor of last resort, so the wave (and the job)
-                     always completes. An infinite TTL marks the lease as
-                     never-expiring — the local runner cannot be SIGKILLed
-                     away from under the daemon. *)
-                  match
-                    Lease.acquire table ~holder:local_holder ~now:t_now
-                      ~ttl:infinity
-                  with
-                  | Some g -> `Local g
-                  | None -> `Wait
-                else `Wait)
-          in
-          match claim with
-          | `Finished -> finish ()
-          | `Local g -> (
-              match run_local ~lo:g.Lease.lo ~hi:g.Lease.hi with
-              | () ->
-                  with_lock t (fun () ->
-                      (match Lease.commit table ~shard:g.Lease.shard with
-                      | `Committed -> t.local_committed <- t.local_committed + 1
-                      | `Stale | `Unknown -> t.stale <- t.stale + 1));
-                  drive ()
-              | exception e ->
-                  with_lock t (fun () ->
-                      ignore
-                        (Lease.fail table ~lease_id:g.Lease.lease_id
-                           ~message:(Printexc.to_string e)
-                          : [ `Committed | `Stale ]));
-                  drive ())
-          | `Wait ->
-              Thread.delay (min t.poll (t.lease_ttl /. 4.));
-              drive ()
-        in
-        let results = big_results @ drive () in
-        (* Trust-but-verify: sample-audit this wave's remote commits (and
-           escalate on any dispute) before returning, so the engine's
-           post-wave checkpoint only ever persists adjudicated bytes. *)
-        let quarantined_now =
-          audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit
-        in
-        (match with_lock t (fun () -> t.on_quarantine) with
-        | Some hook ->
-            List.iter
-              (fun (name, disputes) -> hook ~name ~disputes)
-              quarantined_now
-        | None -> ());
+        let results = big_results @ drive t table ~run_local in
+        (* Audited before returning, so the engine's post-wave checkpoint
+           only ever persists adjudicated bytes. *)
+        audit_and_report t ~fuel ~model ~golden ~fingerprint ~commit;
         results
       end
     in
@@ -897,12 +1020,7 @@ let round_runner t ~job_id ~bench ~fuel ~model ~golden =
     if n = 0 then [||]
     else if live_workers t = 0 then Array.map run_local_case cases
     else begin
-      with_lock t (fun () ->
-          if t.audit_job <> Some job_id then begin
-            t.audit_job <- Some job_id;
-            t.audit_records <- [];
-            t.audited_wids <- []
-          end);
+      begin_job t ~job_id;
       let nshards = ((n + shard_cap - 1) / shard_cap) in
       let tasks =
         Array.init nshards (fun i ->
@@ -921,67 +1039,25 @@ let round_runner t ~job_id ~bench ~fuel ~model ~golden =
         | exception Ftb_inject.Sample_codec.Format_error _ -> ()
       in
       let table =
-        with_lock t (fun () ->
-            let table = Lease.create ~first_lease:t.next_lease tasks in
-            t.active <-
-              Some
-                {
-                  a_job = job_id;
-                  a_bench = bench;
-                  a_fuel = fuel;
-                  a_model = model;
-                  a_fingerprint = fingerprint;
-                  table;
-                  a_commit = commit;
-                  a_cases = Some cases;
-                };
-            table)
+        publish t ~job_id ~bench ~fuel ~model ~fingerprint ~commit ~cases:(Some cases)
+          tasks
       in
-      let finish () =
-        with_lock t (fun () ->
-            t.next_lease <- Lease.next_lease table;
-            t.active <- None;
-            Lease.results table)
-      in
-      let rec drive () =
-        let claim =
-          with_lock t (fun () ->
-              let t_now = now () in
-              prune_workers_locked t ~now:t_now;
-              t.expired <- t.expired + Lease.expire table ~now:t_now;
-              if Lease.outstanding table = 0 then `Finished
-              else if live_workers_locked t ~now:t_now = [] then
-                match
-                  Lease.acquire table ~holder:local_holder ~now:t_now
-                    ~ttl:infinity
-                with
-                | Some g -> `Local g
-                | None -> `Wait
-              else `Wait)
+      (* Compute outside the lock, commit under it: if a straggler's
+         validated blob won the first-result race meanwhile, its samples
+         stay (byte-identical anyway for an honest worker) and this slice
+         is dropped as stale. *)
+      let run_local (g : Lease.grant) =
+        let samples =
+          Array.map run_local_case (Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
         in
-        match claim with
-        | `Finished -> finish ()
-        | `Local g ->
-            (* Compute outside the lock, commit under it: if a straggler's
-               validated blob won the first-result race meanwhile, its
-               samples stay (byte-identical anyway for an honest worker)
-               and this slice is dropped as stale. *)
-            let samples =
-              Array.map run_local_case
-                (Array.sub cases g.Lease.lo (g.Lease.hi - g.Lease.lo))
-            in
-            with_lock t (fun () ->
-                match Lease.commit table ~shard:g.Lease.shard with
-                | `Committed ->
-                    slots.(g.Lease.shard) <- Some samples;
-                    t.local_committed <- t.local_committed + 1
-                | `Stale | `Unknown -> t.stale <- t.stale + 1);
-            drive ()
-        | `Wait ->
-            Thread.delay (min t.poll (t.lease_ttl /. 4.));
-            drive ()
+        with_lock t (fun () ->
+            match Lease.commit table ~shard:g.Lease.shard with
+            | `Committed ->
+                slots.(g.Lease.shard) <- Some samples;
+                t.local_committed <- t.local_committed + 1
+            | `Stale | `Unknown -> t.stale <- t.stale + 1)
       in
-      let results = drive () in
+      let results = drive t table ~run_local in
       (* [Lease.fail] is permanent — a worker-reported failure leaves its
          shard [Done (Error _)] — so the oracle re-runs those slices
          locally; the round always completes. *)
@@ -995,16 +1071,9 @@ let round_runner t ~job_id ~bench ~fuel ~model ~golden =
                 Some (Array.map run_local_case (Array.sub cases lo (hi - lo)));
               with_lock t (fun () -> t.local_committed <- t.local_committed + 1))
         results;
-      (* Trust-but-verify before a single sample folds into the boundary:
-         a disputed blob is overwritten with the oracle's samples through
-         [commit] above. *)
-      let quarantined_now =
-        audit_job_locked_free t ~fuel ~model ~golden ~fingerprint ~commit
-      in
-      (match with_lock t (fun () -> t.on_quarantine) with
-      | Some hook ->
-          List.iter (fun (name, disputes) -> hook ~name ~disputes) quarantined_now
-      | None -> ());
+      (* A disputed blob is overwritten with the oracle's samples through
+         [commit] above before a single sample folds into the boundary. *)
+      audit_and_report t ~fuel ~model ~golden ~fingerprint ~commit;
       Array.init n (fun i ->
           let shard = i / shard_cap in
           match slots.(shard) with

@@ -5,18 +5,33 @@
 
     - {!extension} handles the worker protocol frames
       (register / lease / heartbeat / result / detach) on the daemon's
-      per-connection threads — plain request/response, no streaming;
+      per-connection threads — plain request/response, no streaming,
+      though a lease request may be held until a shard is leasable;
     - {!wave_runner} is the {!Ftb_campaign.Engine.wave_runner} factory the
       scheduler thread queries per job: when at least one live worker is
       attached, the engine's shard waves are executed by leasing shards to
       workers instead of running them on the local pool.
+
+    {2 Wake-ups, not polls}
+
+    Nothing in the fleet sleeps a fixed tick. One fleet-wide
+    {!Ftb_service.Wakeup} is signalled by every change that can unblock
+    a waiter — a lease table published; a shard committed, failed,
+    released or expired; a worker registered, detached or quarantined;
+    the daemon stopping. The scheduler's drive loop sleeps on it between
+    deadline checks (at least every [min poll (ttl / 4)]), and a lease
+    request that finds nothing leasable is {e held} on it for up to
+    [poll], then answered [Wait 0]: a published round reaches waiting
+    workers at once, while idle traffic stays one request per [poll] per
+    worker. A grant whose reply cannot be written (the worker died while
+    held) releases its lease immediately.
 
     {2 Lease lifecycle}
 
     A grant carries a deadline ([lease_ttl] seconds out); the worker's
     heartbeat thread renews it while the shard computes. A worker that
     dies (SIGKILL, network cut) stops renewing: its leases expire and the
-    shards return to [Pending] for the next worker's lease poll. A worker
+    shards return to [Pending] for the next worker's lease request. A worker
     that goes silent entirely ages out of the live set after three TTLs
     (recoverably — its next frame revives it), and when {e no} live
     workers remain the scheduler thread itself runs the remaining shards
@@ -78,8 +93,10 @@ val create :
   unit ->
   t
 (** [lease_ttl] (default 5s) bounds how long a dead worker can sit on a
-    shard; [poll] (default 0.05s) is the wait hint returned to idle
-    workers. [audit_rate] (default 0.02) is the fraction of each wave's
+    shard; [poll] (default 0.05s) is how long an idle worker's lease
+    request is held before it is answered [Wait 0] (a draining daemon
+    answers [Wait poll] at once), and with [lease_ttl / 4] it bounds the
+    interval between the scheduler's deadline checks. [audit_rate] (default 0.02) is the fraction of each wave's
     remote commits re-executed locally for verification — [0.] disables
     auditing entirely, [1.] re-verifies every remote shard;
     [audit_seed] fixes the deterministic sample. [quarantine_after]
@@ -92,11 +109,14 @@ val set_on_quarantine : t -> (name:string -> disputes:int -> unit) -> unit
     when a worker is quarantined — the daemon uses it to purge cache
     entries with that worker's provenance and notify watchers. *)
 
-val extension : t -> cmd:string -> Ftb_service.Json.t -> Ftb_service.Json.t option
+val extension : t -> Ftb_service.Server.extension
 (** Protocol extension for {!Ftb_service.Server.config.extension}:
     handles [worker_*] commands, [None] for everything else. Malformed
     worker frames answer typed [bad_request] / [oversized_result] /
-    [bad_result] / [unknown_worker] errors. *)
+    [bad_result] / [unknown_worker] errors. [worker_lease] blocks the
+    connection thread while it is held; its grant's [undelivered] hook
+    releases the lease. [on_shutdown] stops holding: waiting requests
+    are answered at once. *)
 
 val wave_runner :
   t ->

@@ -106,6 +106,17 @@ let release_holder t ~holder =
     t.slots;
   !released
 
+let release t ~lease_id =
+  match Hashtbl.find_opt t.by_lease lease_id with
+  | Some pos -> (
+      match t.slots.(pos).state with
+      | Leased l when l.lease_id = lease_id ->
+          drop_lease t pos;
+          t.slots.(pos).state <- Pending;
+          true
+      | Leased _ | Pending | Done _ -> false)
+  | None -> false
+
 (* Success commits are keyed by shard and first-result-wins: outcome
    bytes are a pure function of the golden trace, so a result arriving on
    an expired lease (the worker outlived its deadline) is byte-identical

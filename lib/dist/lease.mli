@@ -48,6 +48,11 @@ val expire : t -> now:float -> int
 val release_holder : t -> holder:int -> int
 (** Return every lease held by [holder] to [Pending] (worker detach). *)
 
+val release : t -> lease_id:int -> bool
+(** Return the shard of a still-current lease to [Pending] (its grant
+    never reached the worker). [false] when the lease is no longer
+    current. *)
+
 val commit : t -> shard:int -> [ `Committed | `Stale | `Unknown ]
 (** Record a successful result for [shard]. [`Committed] exactly once per
     shard — only then may the caller write the result bytes. [`Stale]

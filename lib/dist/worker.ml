@@ -157,7 +157,10 @@ let run cfg =
   try
     while not (cfg.stop ()) && not (Atomic.get hb_failed) do
       match P.parse_lease_reply (roundtrip ctl (P.lease ~worker:wid)) with
-      | P.Wait poll -> Thread.delay poll
+      (* The daemon holds an idle request until a shard is leasable or
+         its poll interval passes, then answers [Wait 0]: ask again at
+         once. A non-zero hint (a draining daemon) is slept off. *)
+      | P.Wait poll -> if poll > 0. then Thread.delay poll
       | P.Granted g ->
           Atomic.set current_lease (Some g.P.lease_id);
           let payload =

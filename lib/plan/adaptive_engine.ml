@@ -31,8 +31,9 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
   let resume =
     match checkpoint with
     | Some path when Sys.file_exists path -> (
-        match Round_checkpoint.load ~path with
-        | cp ->
+        match Round_checkpoint.resume ~path with
+        | None -> None
+        | Some (cp, tail_dropped) ->
             if
               cp.Round_checkpoint.name = name
               && cp.Round_checkpoint.sites = sites
@@ -41,7 +42,7 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
               && cp.Round_checkpoint.config = config
               && cp.Round_checkpoint.fuel = fuel
               && cp.Round_checkpoint.seed = seed
-            then Some cp
+            then Some (cp, tail_dropped)
             else None
         | exception Persist.Format_error _ ->
             ignore (Persist.quarantine ~path : string option);
@@ -49,7 +50,7 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
     | Some _ | None -> None
   in
   match resume with
-  | Some ({ Round_checkpoint.stop = Some reason; _ } as cp) ->
+  | Some (({ Round_checkpoint.stop = Some reason; _ } as cp), _) ->
       (* Finished campaign: replay the result without drawing a thing. *)
       let state =
         Adaptive.state_restore ~config ~spec golden ~rounds:cp.Round_checkpoint.rounds
@@ -64,7 +65,7 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
   | _ ->
       let rng, state, initial_pending, resumed_samples, resumed_rounds =
         match resume with
-        | Some cp ->
+        | Some (cp, _) ->
             ( Rng.of_state cp.Round_checkpoint.rng_state,
               Adaptive.state_restore ~config ~spec golden
                 ~rounds:cp.Round_checkpoint.rounds cp.Round_checkpoint.samples,
@@ -74,66 +75,79 @@ let run ?(config = Adaptive.default_config) ?(spec = Models.default_spec) ?fuel 
         | None ->
             (Rng.create ~seed, Adaptive.state_create ~config ~spec golden, None, 0, 0)
       in
-      let save ?pending ?stop () =
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-            Round_checkpoint.save ~path
-              {
-                Round_checkpoint.name;
-                sites;
-                spec;
-                fuel;
-                fingerprint;
-                config;
-                seed;
-                rng_state = Rng.state rng;
-                rounds = Adaptive.state_rounds state;
-                samples = Adaptive.state_samples state;
-                pending;
-                stop;
-              }
+      (* An intact log is appended to as it stands. A cold start, or a
+         log whose torn tail was dropped, is first rewritten once in
+         compacted form, so no record ever follows a torn one. *)
+      let log =
+        match (checkpoint, resume) with
+        | None, _ -> None
+        | Some path, Some (_, false) -> Some (Round_checkpoint.reopen ~path)
+        | Some path, Some (cp, true) -> Some (Round_checkpoint.start ~path cp)
+        | Some path, None ->
+            Some
+              (Round_checkpoint.start ~path
+                 {
+                   Round_checkpoint.name;
+                   sites;
+                   spec;
+                   fuel;
+                   fingerprint;
+                   config;
+                   seed;
+                   rng_state = Rng.state rng;
+                   rounds = 0;
+                   samples = [||];
+                   pending = None;
+                   stop = None;
+                 })
       in
+      let record f = Option.iter f log in
       let fresh = ref 0 in
       let pending = ref initial_pending in
       let stop = ref Adaptive.Round_cap in
-      (try
-         while true do
-           if cancel () then begin
-             save ?pending:!pending ();
-             raise Cancelled
-           end;
-           let cases =
-             match !pending with
-             | Some cases ->
-                 (* The killed run already drew this round; re-drawing
-                    would consume fresh RNG output and diverge from the
-                    serial oracle. *)
-                 pending := None;
-                 cases
-             | None -> (
-                 match Adaptive.plan_round state rng with
-                 | None ->
-                     stop := Adaptive.Pool_exhausted;
-                     raise Exit
+      Fun.protect
+        ~finally:(fun () -> record Round_checkpoint.close)
+        (fun () ->
+          (try
+             while true do
+               (* Every draw and fold is already on disk, pending draw
+                  included, so a cancel needs no write of its own. *)
+               if cancel () then raise Cancelled;
+               let cases =
+                 match !pending with
                  | Some cases ->
-                     save ~pending:cases ();
-                     cases)
-           in
-           let round = Adaptive.state_rounds state + 1 in
-           let samples = exec ~round ~cases in
-           if Array.length samples <> Array.length cases then
-             invalid_arg
-               (Printf.sprintf
-                  "Adaptive_engine: executor returned %d samples for a %d-case round"
-                  (Array.length samples) (Array.length cases));
-           fresh := !fresh + Array.length samples;
-           match Adaptive.fold_round ?on_round state ~cases ~samples with
-           | `Stop reason ->
-               stop := reason;
-               raise Exit
-           | `Continue -> save ()
-         done
-       with Exit -> ());
-      save ~stop:!stop ();
-      (Adaptive.finish state !stop, { fresh_samples = !fresh; resumed_samples; resumed_rounds })
+                     (* The killed run already drew this round; re-drawing
+                        would consume fresh RNG output and diverge from the
+                        serial oracle. *)
+                     pending := None;
+                     cases
+                 | None -> (
+                     match Adaptive.plan_round state rng with
+                     | None ->
+                         stop := Adaptive.Pool_exhausted;
+                         raise Exit
+                     | Some cases ->
+                         record (fun log ->
+                             Round_checkpoint.append_draw log ~rng_state:(Rng.state rng) cases);
+                         cases)
+               in
+               let round = Adaptive.state_rounds state + 1 in
+               let samples = exec ~round ~cases in
+               if Array.length samples <> Array.length cases then
+                 invalid_arg
+                   (Printf.sprintf
+                      "Adaptive_engine: executor returned %d samples for a %d-case round"
+                      (Array.length samples) (Array.length cases));
+               fresh := !fresh + Array.length samples;
+               (* Durable before [on_round] reports the round. *)
+               record (fun log -> Round_checkpoint.append_fold log samples);
+               match Adaptive.fold_round ?on_round state ~cases ~samples with
+               | `Stop reason ->
+                   stop := reason;
+                   raise Exit
+               | `Continue -> ()
+             done
+           with Exit -> ());
+          record (fun log -> Round_checkpoint.append_stop log !stop);
+          ( Adaptive.finish state !stop,
+            { fresh_samples = !fresh; resumed_samples; resumed_rounds } ))

@@ -7,13 +7,16 @@
     of (golden, model, case), and the RNG is consumed only by the planner.
 
     With a [checkpoint] path the driver is kill-safe at round
-    granularity: it persists after every draw (the pending round) and
-    after every fold, so a SIGKILL resumes at the same round with the
-    same drawn cases and the campaign finishes bit-identical to an
-    undisturbed run. A checkpoint from a different campaign identity
-    (kernel, fingerprint, model, config, fuel or seed differ) is ignored;
-    a corrupt one is quarantined; a finished one short-circuits the whole
-    run. *)
+    granularity: it keeps a {!Round_checkpoint} log, appending a draw
+    record (the pending round) and a fold record (that round's samples,
+    written before [on_round] reports it) per round, so a SIGKILL
+    resumes at the same round with the same drawn cases and the campaign
+    finishes bit-identical to an undisturbed run. Each round writes
+    O(its new samples) bytes. A log from a different campaign identity
+    (kernel, fingerprint, model, config, fuel or seed differ), or in the
+    previous [ftb-adaptive-v1] format, is ignored and the run starts
+    cold; a corrupt one is quarantined; a finished one short-circuits
+    the whole run. *)
 
 exception Cancelled
 (** Raised when [cancel] reports true at a round edge — after the current

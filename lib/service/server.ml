@@ -9,6 +9,15 @@ module Adaptive = Ftb_core.Adaptive
 module Adaptive_engine = Ftb_plan.Adaptive_engine
 module Bstore = Ftb_plan.Boundary_store
 
+type reply = { frame : Json.t; undelivered : unit -> unit }
+
+let reply frame = { frame; undelivered = ignore }
+
+type extension = {
+  handle : cmd:string -> Json.t -> reply option;
+  on_shutdown : unit -> unit;
+}
+
 type config = {
   state_dir : string;
   capacity : int;
@@ -18,7 +27,7 @@ type config = {
   resolve : string -> Ftb_trace.Program.t;
   resolve_ir : string -> Ftb_ir.Ir.t option;
   cache : bool;
-  extension : (cmd:string -> Json.t -> Json.t option) option;
+  extension : extension option;
   wave_runner :
     (job_id:int ->
     bench:string ->
@@ -763,8 +772,9 @@ let run_job t (job : Job.info) cancel ~heartbeat =
 
 (* Run the job under the stuck-job watchdog when one is configured.
 
-   The runner executes in its own thread while the scheduler polls the
-   heartbeat (OCaml's [Condition] has no timed wait). A job whose wave
+   The runner executes in its own thread while the scheduler sleeps on a
+   {!Wakeup} until the runner finishes or the heartbeat deadline passes,
+   re-arming whenever the heartbeat has moved on. A job whose wave
    callbacks stop beating past the deadline — hung domain, livelocked
    shard — is declared [Stuck]: its last durable checkpoint is preserved
    for a later resubmission, its watchers get a final frame, and the
@@ -782,14 +792,17 @@ let supervise_job t (job : Job.info) cancel =
   | Some deadline ->
       let result = ref None in
       let finished = Atomic.make false in
+      let done_ = Wakeup.create () in
       let runner =
         Thread.create
           (fun () ->
             (result := match run_job t job cancel ~heartbeat with r -> Some r);
-            Atomic.set finished true)
+            Atomic.set finished true;
+            Wakeup.signal done_)
           ()
       in
       let rec monitor () =
+        let gen = Wakeup.generation done_ in
         if Atomic.get finished then begin
           Thread.join runner;
           match !result with
@@ -808,7 +821,7 @@ let supervise_job t (job : Job.info) cancel =
           { job with Job.status = Job.Stuck; counts; finished = Some (now ()) }
         end
         else begin
-          Thread.delay 0.05;
+          Wakeup.wait done_ ~since:gen ~until:(Atomic.get heartbeat +. deadline);
           monitor ()
         end
       in
@@ -871,17 +884,25 @@ let start t =
       if t.scheduler = None then t.scheduler <- Some (Thread.create scheduler_loop t))
 
 let request_shutdown t =
-  with_lock t (fun () ->
-      if not t.stopping then begin
-        t.stopping <- true;
-        (match t.running with
-        | Some r ->
-            (* Don't override a pending user cancellation — it is the
-               stronger request. *)
-            ignore (Atomic.compare_and_set r.cancel None (Some Drain) : bool)
-        | None -> ());
-        Condition.signal t.wake
-      end)
+  let first =
+    with_lock t (fun () ->
+        if t.stopping then false
+        else begin
+          t.stopping <- true;
+          (match t.running with
+          | Some r ->
+              (* Don't override a pending user cancellation — it is the
+                 stronger request. *)
+              ignore (Atomic.compare_and_set r.cancel None (Some Drain) : bool)
+          | None -> ());
+          Condition.signal t.wake;
+          true
+        end)
+  in
+  (* Outside the daemon lock: the extension takes its own. *)
+  match t.config.extension with
+  | Some ext when first -> ext.on_shutdown ()
+  | Some _ | None -> ()
 
 let join t =
   match with_lock t (fun () -> t.scheduler) with
@@ -1258,8 +1279,12 @@ let handle_request t fd json =
       (* Extension commands (the distributed worker protocol) are strict
          request/response: the handler returns one reply frame and never
          keeps the descriptor, so the single-writer discipline holds. *)
-      match Option.bind t.config.extension (fun ext -> ext ~cmd json) with
-      | Some reply -> Wire.write fd reply
+      match Option.bind t.config.extension (fun ext -> ext.handle ~cmd json) with
+      | Some reply -> (
+          try Wire.write fd reply.frame
+          with e ->
+            reply.undelivered ();
+            raise e)
       | None ->
           Wire.write fd
             (error_frame "bad_request" (Printf.sprintf "unknown command %S" cmd)))

@@ -73,6 +73,28 @@
     suspends the running job at the next shard-wave boundary (checkpoint
     written, status back to [queued]), notifies watchers and exits. *)
 
+type reply = {
+  frame : Json.t;  (** the one frame sent back *)
+  undelivered : unit -> unit;
+      (** called when writing [frame] fails (the peer is gone), so a
+          handler that handed out a resource in it — a fleet lease — can
+          take it back at once *)
+}
+
+val reply : Json.t -> reply
+(** A reply with nothing to take back. *)
+
+type extension = {
+  handle : cmd:string -> Json.t -> reply option;
+      (** [Some reply] sends [reply.frame]; [None] falls through to the
+          usual [bad_request] error. The handler runs on the connection's
+          own thread and may block it (a held lease request), but must
+          not retain the connection. *)
+  on_shutdown : unit -> unit;
+      (** called once when the daemon starts draining, so requests the
+          extension is holding can be answered at once *)
+}
+
 type config = {
   state_dir : string;  (** job descriptors + checkpoints live here *)
   capacity : int;  (** queue bound (running job excluded) *)
@@ -100,14 +122,11 @@ type config = {
           section-profile hits seed a reduced campaign that executes only
           missed sections' cases (["partial"]). Every completed IR
           campaign is harvested back into the store. Default [true]. *)
-  extension : (cmd:string -> Json.t -> Json.t option) option;
+  extension : extension option;
       (** strict request/response protocol extension, consulted for any
-          ["cmd"] the core protocol does not know. Returning [Some reply]
-          sends that frame; [None] falls through to the usual
-          [bad_request] error. The handler must not retain the
-          connection. {!Ftb_dist.Fleet.extension} plugs the worker
-          protocol (register / lease / heartbeat / result / detach) in
-          here. *)
+          ["cmd"] the core protocol does not know.
+          {!Ftb_dist.Fleet.extension} plugs the worker protocol
+          (register / lease / heartbeat / result / detach) in here. *)
   wave_runner :
     (job_id:int ->
     bench:string ->

@@ -7,8 +7,9 @@
       every other execution path must match byte for byte.
 
    2. Daemon kill/restart: submit the same campaign as an adaptive job,
-      SIGKILL the daemon mid-round, restart it on the same state
-      directory; the job must resume at the checkpointed round and the
+      SIGKILL the daemon mid-campaign (its round log then holds a fold
+      record and no stop record), restart it on the same state
+      directory; the job must resume after the logged rounds and the
       published boundary-store entry must carry threshold bytes, round
       count and stop reason identical to the serial oracle. Watchers see
       §3.4 convergence live via "round" events.
@@ -30,6 +31,7 @@ module Models = Ftb_inject.Models
 module Adaptive = Ftb_core.Adaptive
 module Boundary = Ftb_core.Boundary
 module AE = Ftb_plan.Adaptive_engine
+module RC = Ftb_plan.Round_checkpoint
 module BS = Ftb_plan.Boundary_store
 module Job = Ftb_service.Job
 module Client = Ftb_service.Client
@@ -169,19 +171,43 @@ let stored_entry ~state_dir (model : Models.spec) =
 (* ------------------------------------------------------------------ *)
 (* Part 1 + 4: daemon SIGKILL mid-round, restart, then warm resubmit.   *)
 
+(* Rounds of this drill take well under a millisecond, so a kill sent on
+   the first round event could land after the campaign has finished.
+   Each daemon therefore sleeps [pace] seconds before executing a round,
+   which keeps rounds outstanding while the kill is in flight without
+   touching what the rounds compute. *)
+let pace = 0.05
+
 let spawn_daemon ?fleet ~state_dir sock =
   match Unix.fork () with
   | 0 ->
+      let paced run ~round ~cases =
+        Unix.sleepf pace;
+        run ~round ~cases
+      in
+      let local ~job_id:_ ~bench:_ ~fuel ~model ~golden ~round:_ ~cases =
+        Array.map (Ftb_inject.Sample_run.run_case_model ?fuel model golden) cases
+      in
+      let round_runner ~job_id ~bench ~fuel ~model ~golden =
+        match fleet with
+        | None -> paced (local ~job_id ~bench ~fuel ~model ~golden)
+        | Some fleet -> paced (Fleet.round_runner fleet ~job_id ~bench ~fuel ~model ~golden)
+      in
       let config =
         match fleet with
-        | None -> { (Server.default_config ~state_dir) with Server.resolve }
+        | None ->
+            {
+              (Server.default_config ~state_dir) with
+              Server.resolve;
+              round_runner = Some round_runner;
+            }
         | Some fleet ->
             {
               (Server.default_config ~state_dir) with
               Server.resolve;
               extension = Some (Fleet.extension fleet);
               wave_runner = Some (Fleet.wave_runner fleet);
-              round_runner = Some (Fleet.round_runner fleet);
+              round_runner = Some round_runner;
             }
       in
       let t = Server.create config in
@@ -199,9 +225,9 @@ let restart_drill (model : Models.spec) =
   let client = connect_with_retry sock in
   let id = get_ok (what ^ ": submit") (Client.submit client (job_spec model)) in
 
-  (* Kill the daemon the moment the first round has folded: the round
-     checkpoint is durable before the event is streamed, so the restart
-     must resume at round 2 with the same draws. *)
+  (* Kill the daemon the moment the first round has folded: the round's
+     fold record is durable before the event is streamed, so the restart
+     must resume after it with the same draws. *)
   let killed = ref false in
   let rounds_seen = ref 0 in
   (match
@@ -225,22 +251,35 @@ let restart_drill (model : Models.spec) =
   (match Unix.waitpid [] !daemon with
   | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
   | _, _ -> check (what ^ ": daemon died by SIGKILL") false);
+  (* The kill must have landed mid-campaign: some round folded, and the
+     campaign had not finished. *)
+  let logged =
+    match RC.scan ~path:(Job.checkpoint_path ~state_dir id) with
+    | records -> List.map fst records
+    | exception _ -> []
+  in
+  let folded_at_kill = List.length (List.filter (( = ) RC.Fold) logged) in
+  check
+    (what ^ ": round log after the kill has a fold record and no stop record")
+    (folded_at_kill >= 1 && not (List.mem RC.Stop logged));
 
   (* Restart on the same state directory: the interrupted job re-queues
      and resumes from its round checkpoint. *)
   daemon := spawn_daemon ~state_dir sock;
   let client2 = connect_with_retry sock in
   let resumed_rounds = ref 0 in
+  let redone = ref false in
   let final =
     get_ok (what ^ ": watch after restart")
       (Client.watch client2 id ~on_event:(function
-        | Client.Round _ -> incr resumed_rounds
+        | Client.Round r ->
+            incr resumed_rounds;
+            if r.round <= folded_at_kill then redone := true
         | Client.Progress _ | Client.Worker_quarantined _ -> ()))
   in
   check (what ^ ": job completed after restart") (final.Job.status = Job.Completed);
-  check
-    (what ^ ": resumed run streamed fresh rounds")
-    (final.Job.status <> Job.Completed || !resumed_rounds >= 0);
+  check (what ^ ": restarted job resumed at least one round") (!resumed_rounds >= 1);
+  check (what ^ ": restarted job did not redo logged rounds") (not !redone);
   check
     (what ^ ": counts partition the samples")
     (final.Job.counts.Job.cases_done
@@ -327,6 +366,7 @@ let fleet_drill (model : Models.spec) =
   let client = connect_with_retry sock in
   let id = get_ok (what ^ ": submit") (Client.submit client (job_spec model)) in
   let killed = ref false in
+  let w1_status = ref None in
   let rounds_seen = ref 0 in
   let final =
     get_ok (what ^ ": watch")
@@ -335,14 +375,20 @@ let fleet_drill (model : Models.spec) =
             incr rounds_seen;
             (* Kill one of two workers while rounds are still being
                leased: its abandoned lease expires and the round's cases
-               re-run on the survivor (or the daemon's local oracle). *)
+               re-run on the survivor (or the daemon's local oracle). A
+               later round event that finds the worker already dead shows
+               the kill landed before the campaign ran out of rounds. *)
             if not !killed then begin
               killed := true;
               Unix.kill w1 Sys.sigkill
             end
+            else if !w1_status = None then (
+              match Unix.waitpid [ Unix.WNOHANG ] w1 with
+              | 0, _ -> ()
+              | _, status -> w1_status := Some status)
         | Client.Progress _ | Client.Worker_quarantined _ -> ()))
   in
-  check (what ^ ": worker SIGKILLed mid-round") !killed;
+  check (what ^ ": worker SIGKILLed while rounds remained") (!w1_status <> None);
   if not !killed then (try Unix.kill w1 Sys.sigkill with Unix.Unix_error _ -> ());
   check (what ^ ": job completed despite worker death")
     (final.Job.status = Job.Completed);
@@ -358,10 +404,10 @@ let fleet_drill (model : Models.spec) =
   (match Unix.waitpid [] daemon with
   | _, Unix.WEXITED 0 -> check (what ^ ": daemon exited cleanly") true
   | _, _ -> check (what ^ ": daemon exited cleanly") false);
-  (match Unix.waitpid [] w1 with
-  | _, Unix.WSIGNALED s when s = Sys.sigkill ->
+  (match match !w1_status with Some st -> st | None -> snd (Unix.waitpid [] w1) with
+  | Unix.WSIGNALED s when s = Sys.sigkill ->
       check (what ^ ": first worker died by SIGKILL") true
-  | _, _ -> check (what ^ ": first worker died by SIGKILL") false);
+  | _ -> check (what ^ ": first worker died by SIGKILL") false);
   (match Unix.waitpid [] w2 with
   | _, Unix.WEXITED 0 -> check (what ^ ": surviving worker exited cleanly") true
   | _, _ -> check (what ^ ": surviving worker exited cleanly") false);
@@ -372,10 +418,15 @@ let fleet_drill (model : Models.spec) =
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let golden = Golden.run drill_program in
-  Printf.printf "adaptive smoke: %d sites, %.1f%% rounds, cap %d\n%!"
+  Printf.printf "adaptive smoke: %d sites, %.1f%% rounds, cap %d, oracle %s\n%!"
     (Golden.sites golden)
     (100. *. config.Adaptive.round_fraction)
-    config.Adaptive.max_rounds;
+    config.Adaptive.max_rounds
+    (String.concat ", "
+       (List.map
+          (fun spec ->
+            Printf.sprintf "%s %d rounds" (Models.spec_name spec) (oracle spec).Adaptive.rounds)
+          model_specs));
   List.iter restart_drill model_specs;
   List.iter fleet_drill model_specs;
   if !failures > 0 then begin

@@ -106,7 +106,25 @@ let tamper ~bench:_ ~shard:_ b =
    named worker fleet, wired exactly as the CLI wires it (provenance
    hook, quarantine hook purging the store and notifying watchers). *)
 
-let with_scenario ~tag ~audit_rate ?(quarantine_after = 2) ~workers fn =
+(* A fleet wave can finish within a millisecond of its job starting, so
+   a drill that asserts on streamed events passes [watching] and sets it
+   once its watch has seen the first frame: the job's waves wait for it,
+   plus a grace period for the server to register the subscription right
+   after writing that frame. *)
+let hold_until_watching watching =
+  let rec hold n =
+    if (not (Atomic.get watching)) && n > 0 then begin
+      Thread.delay 0.005;
+      hold (n - 1)
+    end
+  in
+  if not (Atomic.get watching) then begin
+    hold 2000;
+    Thread.delay 0.05
+  end
+
+let with_scenario ~tag ~audit_rate ?(quarantine_after = 2) ?(watching = Atomic.make true)
+    ~workers fn =
   let state_dir = fresh_dir tag in
   let fleet = Fleet.create ~lease_ttl ~audit_rate ~quarantine_after () in
   let config =
@@ -116,7 +134,11 @@ let with_scenario ~tag ~audit_rate ?(quarantine_after = 2) ~workers fn =
       resolve;
       resolve_ir;
       extension = Some (Fleet.extension fleet);
-      wave_runner = Some (Fleet.wave_runner fleet);
+      wave_runner =
+        Some
+          (fun ~job_id ~bench ~fuel ~model ~golden ->
+            hold_until_watching watching;
+            Fleet.wave_runner fleet ~job_id ~bench ~fuel ~model ~golden);
       provenance =
         Some
           (fun ~job_id ->
@@ -184,7 +206,8 @@ let ckpt_bytes ~state_dir ~shard_size id golden =
 (* Part 1: one liar among three workers.                                *)
 
 let lying_worker_drill () =
-  with_scenario ~tag:"liar" ~audit_rate:1.0 ~quarantine_after:1
+  let watching = Atomic.make false in
+  with_scenario ~tag:"liar" ~audit_rate:1.0 ~quarantine_after:1 ~watching
     ~workers:[ ("honest-1", false); ("honest-2", false); ("liar", true) ]
     (fun ~state_dir ~fleet ~server:_ ~client ->
       let shard_size = 128 in
@@ -196,7 +219,7 @@ let lying_worker_drill () =
       let final =
         get_ok "liar: watch"
           (Client.watch client id ~on_event:(function
-             | Client.Progress _ | Client.Round _ -> ()
+             | Client.Progress _ | Client.Round _ -> Atomic.set watching true
              | Client.Worker_quarantined { worker; disputes; _ } ->
                  quarantine_events := (worker, disputes) :: !quarantine_events))
       in
@@ -223,8 +246,8 @@ let lying_worker_drill () =
          registration, listed in the trust ledger, and re-admitted only
          after an explicit clear. *)
       let ext cmd json =
-        match Fleet.extension fleet ~cmd json with
-        | Some reply -> reply
+        match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+        | Some reply -> reply.Ftb_service.Server.frame
         | None -> failwith ("no handler for " ^ cmd)
       in
       (match P.check_ok (ext "worker_register" (P.register ~name:"liar" ~domains:1 ())) with

@@ -421,6 +421,26 @@ module Worker = Ftb_dist.Worker
 
 let fleet_lease_ttl = 0.5
 
+(* A fleet wave can finish within a millisecond of its job starting, so
+   the drill's watcher could subscribe after the liar's conviction was
+   streamed. The daemon's waves wait until the watcher has seen its first
+   frame (the parent creates this flag file), plus a grace period for the
+   server to register the subscription right after writing that frame. *)
+let watching_flag ~state_dir = Filename.concat state_dir "watching"
+
+let hold_until_watching ~state_dir =
+  let flag = watching_flag ~state_dir in
+  let rec hold n =
+    if (not (Sys.file_exists flag)) && n > 0 then begin
+      Unix.sleepf 0.005;
+      hold (n - 1)
+    end
+  in
+  if not (Sys.file_exists flag) then begin
+    hold 2000;
+    Unix.sleepf 0.05
+  end
+
 let spawn_audit_daemon ~state_dir sock =
   match Unix.fork () with
   | 0 ->
@@ -434,7 +454,11 @@ let spawn_audit_daemon ~state_dir sock =
           checkpoint_every = 1;
           resolve;
           extension = Some (Fleet.extension fleet);
-          wave_runner = Some (Fleet.wave_runner fleet);
+          wave_runner =
+            Some
+              (fun ~job_id ~bench ~fuel ~model ~golden ->
+                hold_until_watching ~state_dir;
+                Fleet.wave_runner fleet ~job_id ~bench ~fuel ~model ~golden);
         }
       in
       let t = Server.create config in
@@ -510,10 +534,15 @@ let lying_fleet_drill () =
         failwith (Printf.sprintf "fleet-liar submit: %s: %s" e.Client.code e.Client.message)
   in
   let killed = ref false in
+  let mark_watching () =
+    let flag = watching_flag ~state_dir in
+    if not (Sys.file_exists flag) then close_out (open_out flag)
+  in
   (match
      Client.watch client id ~on_event:(function
-       | Client.Round _ -> ()
+       | Client.Round _ -> mark_watching ()
        | Client.Progress { shards_done; cases_done; cases_total; _ } ->
+           mark_watching ();
            if (not !killed) && shards_done >= 2 && (cases_total = 0 || cases_done < cases_total)
            then begin
              killed := true;

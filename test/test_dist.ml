@@ -193,10 +193,10 @@ let test_cross_job_result_rejected () =
   (* Audit disabled: this test commits a hand-crafted byte pattern (not
      the bench's true outcomes) to observe the commit plumbing, which the
      audit oracle would rightly dispute. *)
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let ext cmd json =
-    match Fleet.extension fleet ~cmd json with
-    | Some reply -> reply
+    match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+    | Some reply -> reply.Ftb_service.Server.frame
     | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
   in
   let reg = P.parse_registered (ext "worker_register" (P.register ~domains:1 ())) in
@@ -341,8 +341,8 @@ let test_digest_and_admin_frames () =
    single registered worker, returning what the test needs to poke at. *)
 let drive_wave fleet ~job_id ~wid ~golden ~tasks ~on_grant =
   let ext cmd json =
-    match Fleet.extension fleet ~cmd json with
-    | Some reply -> reply
+    match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+    | Some reply -> reply.Ftb_service.Server.frame
     | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
   in
   let runner =
@@ -379,10 +379,10 @@ let drive_wave fleet ~job_id ~wid ~golden ~tasks ~on_grant =
   (!results, committed, !ran_locally)
 
 let test_digest_mismatch_rejected () =
-  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:0. () in
+  let fleet = Fleet.create ~lease_ttl:5.0 ~audit_rate:0. () in
   let ext cmd json =
-    match Fleet.extension fleet ~cmd json with
-    | Some reply -> reply
+    match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+    | Some reply -> reply.Ftb_service.Server.frame
     | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
   in
   let reg = P.parse_registered (ext "worker_register" (P.register ~domains:1 ())) in
@@ -421,14 +421,14 @@ let test_digest_mismatch_rejected () =
 
 let test_audit_dispute_quarantine_clear () =
   let fleet =
-    Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:1.0 ~quarantine_after:1 ()
+    Fleet.create ~lease_ttl:5.0 ~audit_rate:1.0 ~quarantine_after:1 ()
   in
   let events = ref [] in
   Fleet.set_on_quarantine fleet (fun ~name ~disputes ->
       events := (name, disputes) :: !events);
   let ext cmd json =
-    match Fleet.extension fleet ~cmd json with
-    | Some reply -> reply
+    match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+    | Some reply -> reply.Ftb_service.Server.frame
     | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
   in
   let reg =
@@ -516,11 +516,11 @@ let test_audit_dispute_quarantine_clear () =
 
 let test_local_executor_never_self_quarantined () =
   let fleet =
-    Fleet.create ~lease_ttl:5.0 ~poll:0.005 ~audit_rate:1.0 ~quarantine_after:1 ()
+    Fleet.create ~lease_ttl:5.0 ~audit_rate:1.0 ~quarantine_after:1 ()
   in
   let ext cmd json =
-    match Fleet.extension fleet ~cmd json with
-    | Some reply -> reply
+    match (Fleet.extension fleet).Ftb_service.Server.handle ~cmd json with
+    | Some reply -> reply.Ftb_service.Server.frame
     | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
   in
   let reg = P.parse_registered (ext "worker_register" (P.register ~domains:1 ())) in
@@ -546,6 +546,268 @@ let test_local_executor_never_self_quarantined () =
   Alcotest.(check int) "no disputes" 0 s.Fleet.disputed;
   Alcotest.(check int) "server never self-quarantines" 0 s.Fleet.quarantined
 
+(* ------------------------------------------------------------------ *)
+(* Wake-ups: nothing waits out a poll tick. Every fleet below has a 5 s
+   poll, so a leftover poll sleep would show as a multi-second stall. *)
+
+module Server = Ftb_service.Server
+module Wire = Ftb_service.Wire
+module Sample_codec = Ftb_inject.Sample_codec
+module Sample_run = Ftb_inject.Sample_run
+
+let slow_poll = 5.0
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+let model = Ftb_inject.Models.default_spec
+
+let frame fleet cmd json =
+  match (Fleet.extension fleet).Server.handle ~cmd json with
+  | Some reply -> reply.Server.frame
+  | None -> Alcotest.fail (Printf.sprintf "no handler for %s" cmd)
+
+let register fleet =
+  (P.parse_registered (frame fleet "worker_register" (P.register ~domains:1 ()))).P.worker
+
+let lease_reply fleet wid = P.parse_lease_reply (frame fleet "worker_lease" (P.lease ~worker:wid))
+
+(* An honest worker's result frame for a grant. *)
+let honest_result golden ~wid (g : P.grant) =
+  let bytes =
+    match g.P.cases with
+    | None ->
+        let buf = Bytes.create (g.P.hi - g.P.lo) in
+        Ftb_inject.Executor.range_into_model g.P.model golden ~lo:g.P.lo ~hi:g.P.hi buf ~off:0;
+        buf
+    | Some cases ->
+        Bytes.of_string
+          (Sample_codec.encode (Array.map (Sample_run.run_case_model g.P.model golden) cases))
+  in
+  let digest =
+    P.outcome_digest ~job:g.P.job_id ~shard:g.P.shard ~lo:g.P.lo ~hi:g.P.hi
+      ~fingerprint:g.P.fingerprint bytes
+  in
+  let payload =
+    match g.P.cases with
+    | None -> P.Outcomes bytes
+    | Some _ -> P.Samples (Bytes.to_string bytes)
+  in
+  P.result ~digest ~worker:wid ~job:g.P.job_id ~lease:g.P.lease_id ~shard:g.P.shard payload
+
+(* A worker on a thread of its own, serving grants until [stop]; it
+   never sleeps itself — the fleet holds its idle requests. *)
+let spawn_worker fleet golden =
+  let wid = register fleet in
+  let stop = Atomic.make false in
+  let served = Atomic.make 0 in
+  let thread =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match lease_reply fleet wid with
+          | P.Wait _ -> ()
+          | P.Granted g ->
+              ignore (frame fleet "worker_result" (honest_result golden ~wid g) : Json.t);
+              Atomic.incr served
+        done)
+      ()
+  in
+  let halt () =
+    Atomic.set stop true;
+    (* Answers the held request at once. *)
+    (Fleet.extension fleet).Server.on_shutdown ();
+    Thread.join thread
+  in
+  (served, halt)
+
+let oracle_samples golden cases = Array.map (Sample_run.run_case_model model golden) cases
+let round_cases golden = Array.init 12 (fun i -> (i * 37) mod Golden.cases golden)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_wave_and_round_finish_without_ticks () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:slow_poll () in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let served, halt = spawn_worker fleet golden in
+  let total = Golden.cases golden in
+  let runner =
+    match Fleet.wave_runner fleet ~job_id:61 ~bench:"helpers.linear" ~fuel:None ~model ~golden with
+    | Some r -> r
+    | None -> Alcotest.fail "no wave runner despite a registered worker"
+  in
+  let half = total / 2 in
+  let tasks =
+    [|
+      { Engine.shard = 0; attempt = 1; lo = 0; hi = half };
+      { Engine.shard = 1; attempt = 1; lo = half; hi = total };
+    |]
+  in
+  let buf = Bytes.make total '?' in
+  let commit ~shard bytes = Bytes.blit bytes 0 buf (if shard = 0 then 0 else half) (Bytes.length bytes) in
+  let results, wave_s =
+    timed (fun () ->
+        runner.Engine.run_wave tasks ~commit ~run_local:(fun ~lo:_ ~hi:_ ->
+            Alcotest.fail "wave fell back to the local executor"))
+  in
+  Alcotest.(check bool) "wave resolved both shards" true
+    (List.sort compare results = [ (0, Ok ()); (1, Ok ()) ]);
+  Alcotest.(check string) "wave bytes are the ground truth"
+    (Bytes.to_string (Ftb_inject.Executor.ground_truth_model model golden).Ftb_inject.Ground_truth.outcomes)
+    (Bytes.to_string buf);
+  Alcotest.(check bool) (Printf.sprintf "wave took %.3f s, well under 1 s" wave_s) true (wave_s < 1.0);
+  let cases = round_cases golden in
+  let run_round = Fleet.round_runner fleet ~job_id:62 ~bench:"helpers.linear" ~fuel:None ~model ~golden in
+  let samples, round_s = timed (fun () -> run_round ~round:1 ~cases) in
+  Alcotest.(check string) "round samples are the oracle's"
+    (Sample_codec.encode (oracle_samples golden cases)) (Sample_codec.encode samples);
+  Alcotest.(check bool) (Printf.sprintf "round took %.3f s, well under 1 s" round_s) true (round_s < 1.0);
+  halt ();
+  Alcotest.(check int) "the worker served every shard" 3 (Atomic.get served);
+  Alcotest.(check int) "nothing ran locally" 0 (Fleet.stats fleet).Fleet.local_committed
+
+let test_held_lease_answered_on_publish () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:slow_poll ~audit_rate:0. () in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let wid = register fleet in
+  let answer = ref None in
+  let asker =
+    Thread.create
+      (fun () ->
+        let reply = lease_reply fleet wid in
+        answer := Some (Unix.gettimeofday (), reply))
+      ()
+  in
+  Thread.delay 0.2;
+  Alcotest.(check bool) "the request is held while nothing is leasable" true (!answer = None);
+  let cases = round_cases golden in
+  let samples = ref [||] in
+  let published = Unix.gettimeofday () in
+  let round =
+    Thread.create
+      (fun () ->
+        samples :=
+          Fleet.round_runner fleet ~job_id:63 ~bench:"helpers.linear" ~fuel:None ~model ~golden
+            ~round:1 ~cases)
+      ()
+  in
+  Thread.join asker;
+  (match !answer with
+  | Some (at, P.Granted g) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "granted %.3f s after the round was published" (at -. published))
+        true
+        (at -. published < 1.0);
+      ignore (frame fleet "worker_result" (honest_result golden ~wid g) : Json.t)
+  | Some (_, P.Wait _) -> Alcotest.fail "held request answered Wait despite a published round"
+  | None -> Alcotest.fail "held request never answered");
+  Thread.join round;
+  Alcotest.(check string) "round samples are the oracle's"
+    (Sample_codec.encode (oracle_samples golden cases)) (Sample_codec.encode !samples)
+
+let test_silent_lease_expires_and_reruns () =
+  let fleet = Fleet.create ~lease_ttl:0.4 ~poll:slow_poll ~audit_rate:0. () in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let silent = register fleet in
+  let cases = round_cases golden in
+  let samples = ref [||] in
+  let round, round_s =
+    timed (fun () ->
+        let round =
+          Thread.create
+            (fun () ->
+              samples :=
+                Fleet.round_runner fleet ~job_id:64 ~bench:"helpers.linear" ~fuel:None ~model
+                  ~golden ~round:1 ~cases)
+            ()
+        in
+        (* The silent worker takes the round's only shard, then never
+           heartbeats and never sends a result frame. *)
+        (match lease_reply fleet silent with
+        | P.Granted _ -> ()
+        | P.Wait _ -> Alcotest.fail "silent worker got no grant");
+        let served, halt = spawn_worker fleet golden in
+        Thread.join round;
+        halt ();
+        Atomic.get served)
+  in
+  Alcotest.(check int) "the expired shard re-ran on the other worker" 1 round;
+  Alcotest.(check bool)
+    (Printf.sprintf "round took %.3f s: one TTL, not a poll" round_s)
+    true (round_s < 2.0);
+  Alcotest.(check string) "round samples are the oracle's"
+    (Sample_codec.encode (oracle_samples golden cases)) (Sample_codec.encode !samples);
+  Alcotest.(check bool) "the silent lease expired" true ((Fleet.stats fleet).Fleet.expired >= 1)
+
+let test_dead_holder_grant_released () =
+  let fleet = Fleet.create ~lease_ttl:5.0 ~poll:slow_poll ~audit_rate:0. () in
+  let golden = Golden.run (Helpers.linear_program ()) in
+  let state_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ftb_dist_dead_%d" (Unix.getpid ()))
+  in
+  let socket = Filename.concat state_dir "d.sock" in
+  let server =
+    Server.create
+      { (Server.default_config ~state_dir) with Server.extension = Some (Fleet.extension fleet) }
+  in
+  let daemon = Thread.create (fun () -> Server.run ~socket server) () in
+  let rec connect attempts =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> fd
+    | exception Unix.Unix_error _ when attempts > 0 ->
+        Unix.close fd;
+        Thread.delay 0.01;
+        connect (attempts - 1)
+  in
+  let fd = connect 500 in
+  Wire.write fd (P.register ~domains:1 ());
+  let dead = (P.parse_registered (Wire.read fd)).P.worker in
+  (* The worker's lease request is held; the worker dies before the
+     answer comes. *)
+  Wire.write fd (P.lease ~worker:dead);
+  Thread.delay 0.2;
+  Unix.close fd;
+  let cases = round_cases golden in
+  let samples = ref [||] in
+  let round =
+    Thread.create
+      (fun () ->
+        samples :=
+          Fleet.round_runner fleet ~job_id:65 ~bench:"helpers.linear" ~fuel:None ~model ~golden
+            ~round:1 ~cases)
+      ()
+  in
+  (* The grant could not be written, so the shard is leasable again at
+     once: no TTL to sit out. *)
+  let rec released attempts =
+    if (Fleet.stats fleet).Fleet.expired >= 1 then true
+    else if attempts = 0 then false
+    else begin
+      Thread.delay 0.01;
+      released (attempts - 1)
+    end
+  in
+  Alcotest.(check bool) "undeliverable grant released" true (released 100);
+  let other = register fleet in
+  (match lease_reply fleet other with
+  | P.Granted g -> ignore (frame fleet "worker_result" (honest_result golden ~wid:other g) : Json.t)
+  | P.Wait _ -> Alcotest.fail "released shard was not leasable");
+  Thread.join round;
+  Alcotest.(check string) "round samples are the oracle's"
+    (Sample_codec.encode (oracle_samples golden cases)) (Sample_codec.encode !samples);
+  Server.request_shutdown server;
+  Thread.join daemon;
+  rm_rf state_dir
+
 let suite =
   [
     Helpers.qcheck_to_alcotest prop_hex_roundtrip;
@@ -565,4 +827,12 @@ let suite =
       test_audit_dispute_quarantine_clear;
     Alcotest.test_case "local executor is never self-quarantined" `Quick
       test_local_executor_never_self_quarantined;
+    Alcotest.test_case "wave and round finish without poll ticks" `Quick
+      test_wave_and_round_finish_without_ticks;
+    Alcotest.test_case "held lease answered when a round is published" `Quick
+      test_held_lease_answered_on_publish;
+    Alcotest.test_case "silent lease expires and re-runs" `Quick
+      test_silent_lease_expires_and_reruns;
+    Alcotest.test_case "dead holder's grant is released" `Quick
+      test_dead_holder_grant_released;
   ]

@@ -213,6 +213,151 @@ let test_round_checkpoint_roundtrip () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
+(* Round log crash contract                                            *)
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_all path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
+
+(* A private directory per test, so quarantine evidence is attributable. *)
+let fresh_dir name =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ftb_plan_%s_%d" name (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let quarantined dir =
+  let q = Filename.concat dir "quarantine" in
+  Sys.file_exists q && Array.length (Sys.readdir q) > 0
+
+(* A finished campaign's complete log, its serial oracle and its records. *)
+let finished_log ~dir ~seed =
+  let g = Lazy.force golden in
+  let path = Filename.concat dir "full.log" in
+  let oracle = Adaptive.run ~config:small_config (Rng.create ~seed) g in
+  let result, _ = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed g in
+  check_same_result "logged run vs oracle" oracle result;
+  (oracle, read_all path, RC.scan ~path)
+
+(* Resume from [contents] (what a kill left on disk) and check the run
+   finishes as the oracle did, leaving a complete log behind. *)
+let resume_matches ~dir ~seed ~oracle msg contents =
+  let g = Lazy.force golden in
+  let path = Filename.concat dir "resume.log" in
+  write_all path contents;
+  let result, _ = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed g in
+  check_same_result msg oracle result;
+  let back = RC.load ~path in
+  Alcotest.(check bool) (msg ^ ": log finished") true (back.RC.stop <> None);
+  Alcotest.(check int) (msg ^ ": logged rounds") oracle.Adaptive.rounds back.RC.rounds
+
+let test_round_log_every_prefix_resumes () =
+  let dir = fresh_dir "prefix" in
+  let seed = 31 in
+  let oracle, full, records = finished_log ~dir ~seed in
+  let kinds = List.map fst records in
+  Alcotest.(check bool) "log shape: header, base, draws and folds, stop" true
+    (match kinds with
+    | RC.Header :: RC.Base :: rest ->
+        List.length (List.filter (( = ) RC.Fold) rest) = oracle.Adaptive.rounds
+        && List.rev rest |> List.hd = RC.Stop
+    | _ -> false);
+  (* Every state a kill between appends can leave: the compacted start,
+     then one more record at a time. *)
+  List.iter
+    (fun (kind, stop) ->
+      if kind <> RC.Header then
+        resume_matches ~dir ~seed ~oracle
+          (Printf.sprintf "prefix ending at byte %d" stop)
+          (String.sub full 0 stop))
+    records;
+  (* Every kill inside an append: each byte cut of the last draw, the
+     last fold and the stop record. *)
+  let ends = List.map snd records |> Array.of_list in
+  let n = Array.length ends in
+  List.iter
+    (fun k ->
+      for cut = ends.(k - 1) + 1 to ends.(k) - 1 do
+        resume_matches ~dir ~seed ~oracle
+          (Printf.sprintf "torn record %d cut at byte %d" k cut)
+          (String.sub full 0 cut)
+      done)
+    [ n - 3; n - 2; n - 1 ];
+  Alcotest.(check bool) "torn tails are never quarantined" false (quarantined dir);
+  rm_rf dir
+
+let test_round_log_flip_quarantined () =
+  let seed = 32 in
+  let probe = fresh_dir "flip_probe" in
+  let oracle, full, records = finished_log ~dir:probe ~seed in
+  rm_rf probe;
+  let ends = List.map snd records |> Array.of_list in
+  (* Flip the low and a high length byte and a payload byte of every
+     record but the last, and a byte of the magic line. A flipped high
+     length byte points past the end of the file, like a torn append
+     would; only the length's complement tells them apart. *)
+  let starts = Array.init (Array.length ends) (fun i -> if i = 0 then 16 else ends.(i - 1)) in
+  let targets =
+    3
+    :: List.concat_map
+         (fun i -> [ starts.(i); starts.(i) + 2; (starts.(i) + ends.(i)) / 2 + 6 ])
+         (List.init (Array.length ends - 1) Fun.id)
+  in
+  List.iter
+    (fun pos ->
+      let dir = fresh_dir "flip" in
+      let path = Filename.concat dir "resume.log" in
+      let flipped = Bytes.of_string full in
+      Bytes.set flipped pos (Char.chr (Char.code (Bytes.get flipped pos) lxor 0x10));
+      write_all path (Bytes.to_string flipped);
+      (match RC.load ~path with
+      | _ -> Alcotest.fail (Printf.sprintf "byte %d flipped, yet the log loaded" pos)
+      | exception Ftb_inject.Persist.Format_error _ -> ());
+      let g = Lazy.force golden in
+      let result, stats = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed g in
+      check_same_result (Printf.sprintf "cold start after flipping byte %d" pos) oracle result;
+      Alcotest.(check int) "nothing resumed from a corrupt log" 0 stats.AE.resumed_samples;
+      Alcotest.(check bool)
+        (Printf.sprintf "flipped byte %d quarantined" pos)
+        true (quarantined dir);
+      rm_rf dir)
+    targets
+
+let test_round_log_v1_ignored () =
+  let g = Lazy.force golden in
+  let dir = fresh_dir "v1" in
+  let path = Filename.concat dir "job.ckpt" in
+  let seed = 33 in
+  (* A file of the previous format for this very campaign, as its writer
+     left it after a cold start. *)
+  Ftb_inject.Persist.save_enveloped ~path (fun buf ->
+      Printf.bprintf buf "ftb-adaptive-v1 lin %d %s none %s %h %h %d 1 1 %d %Lx 0 -\n"
+        (Golden.sites g)
+        (Models.spec_to_string Models.default_spec)
+        (Ftb_util.Fingerprint.of_floats g.Golden.values)
+        small_config.Adaptive.round_fraction small_config.Adaptive.stop_sdc_fraction
+        small_config.Adaptive.max_rounds seed
+        (Rng.state (Rng.create ~seed)));
+  Alcotest.(check bool) "v1 file is not resumable" true (RC.resume ~path = None);
+  let oracle = Adaptive.run ~config:small_config (Rng.create ~seed) g in
+  let result, stats = AE.run ~config:small_config ~checkpoint:path ~name:"lin" ~seed g in
+  check_same_result "cold start over a v1 file" oracle result;
+  Alcotest.(check int) "nothing resumed from v1" 0 stats.AE.resumed_rounds;
+  Alcotest.(check bool) "v1 file not quarantined" false (quarantined dir);
+  Alcotest.(check bool) "replaced by a finished round log" true
+    ((RC.load ~path).RC.stop <> None);
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Boundary store                                                      *)
 
 let entry_of ?(seed = 21) ?(created = 1000.) ?(prov = BS.prov_local) g =
@@ -404,6 +549,11 @@ let suite =
       test_corrupt_checkpoint_quarantined;
     Alcotest.test_case "round checkpoint round-trip" `Quick
       test_round_checkpoint_roundtrip;
+    Alcotest.test_case "round log resumes from every prefix and torn tail" `Quick
+      test_round_log_every_prefix_resumes;
+    Alcotest.test_case "round log corruption is quarantined" `Quick
+      test_round_log_flip_quarantined;
+    Alcotest.test_case "v1 round checkpoint ignored" `Quick test_round_log_v1_ignored;
     Alcotest.test_case "store put/find round-trip" `Quick test_store_put_find_roundtrip;
     Alcotest.test_case "key is the campaign identity" `Quick
       test_store_key_is_campaign_identity;
