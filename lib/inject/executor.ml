@@ -20,49 +20,54 @@ let fallback_site ?fuel golden ~site buf ~pos =
     Bytes.set buf (pos + bit) (Ground_truth.case_byte ?fuel golden ((site * bits) + bit))
   done
 
+let byte_of_cone = function
+  | Program.Cone_masked -> '\000'
+  | Program.Cone_sdc -> '\001'
+  | Program.Cone_crash reason -> Ground_truth.crash_byte reason
+
 (* Dependent-cone fast path. A program may carry a cone plan
    ([Program.cone], built by [Ftb_ir.Pipeline.to_program]): per site, the
-   outcome is computed from the corrupted value and precomputed golden
-   dataflow alone — no prefix run, no suffix replay. The capability is
-   consulted only for unlimited-fuel campaigns (cone replay performs no
-   step bookkeeping, so fuel semantics require real replay) and only when
-   the plan covers exactly this golden run's site space; a site whose cone
-   is imprecise (feeds a float branch) or too large yields [None] and
-   takes the prefix-snapshot path below. Outcome bytes are bit-identical
-   either way — enforced by the differential tests and the @ir-smoke
-   gate. *)
-let cone_runner ?fuel ~cone golden ~site =
-  if not cone then None
-  else
-    match (fuel, golden.Golden.program.Program.cone) with
-    | Some _, _ | None, None -> None
-    | None, Some force -> (
+   outcomes of all of the site's cases are computed in one lane-batched
+   pass over the site's dependent cone, from the corrupted values and
+   precomputed golden dataflow alone — no prefix run, no suffix replay.
+   The capability is consulted only for unlimited-fuel campaigns (cone
+   replay performs no step bookkeeping, so fuel semantics require real
+   replay) and only when the plan covers exactly this golden run's site
+   space. [cone_into] writes the site's bytes into [buf.[pos..]], or
+   returns [false] and leaves the site to the prefix-snapshot path below:
+   when the site's cone feeds a float branch, and when the plan raised —
+   the snapshot path's own containment then gives each case its real
+   outcome, where stamping [Exception_raised] on every case would not.
+   Outcome bytes are bit-identical either way — enforced by the
+   differential tests and the @ir-smoke gate. *)
+let cone_into ?fuel ~cone golden ~site corrupts buf ~pos =
+  let run =
+    match (cone, fuel, golden.Golden.program.Program.cone) with
+    | true, None, Some force -> (
         match force () with
         | Some plan when plan.Program.cone_sites = Golden.sites golden ->
             plan.Program.cone_case ~site
         | Some _ | None -> None)
+    | _ -> None
+  in
+  match run with
+  | None -> false
+  | Some run -> (
+      match run corrupts with
+      | outcomes ->
+          Array.iteri (fun i o -> Bytes.set buf (pos + i) (byte_of_cone o)) outcomes;
+          true
+      | exception Out_of_memory -> raise Out_of_memory
+      | exception _ -> false)
 
-let byte_of_cone_run run corrupt =
-  match run corrupt with
-  | Program.Cone_masked -> '\000'
-  | Program.Cone_sdc -> '\001'
-  | Program.Cone_crash reason -> Ground_truth.crash_byte reason
-  | exception Out_of_memory -> raise Out_of_memory
-  | exception _ ->
-      (* Containment, mirroring [Runner.outcome_of_run_contained]. *)
-      Ground_truth.crash_byte Ctx.Exception_raised
+let flips = Array.init bits (fun bit -> Ftb_util.Bits.flip ~bit)
 
 let site_into ?fuel ?(cone = true) golden ~site buf ~pos =
   if site < 0 || site >= Golden.sites golden then
     invalid_arg "Executor.site_into: site out of range";
   if pos < 0 || pos + bits > Bytes.length buf then
     invalid_arg "Executor.site_into: buffer too small";
-  match cone_runner ?fuel ~cone golden ~site with
-  | Some run ->
-      for bit = 0 to bits - 1 do
-        Bytes.set buf (pos + bit) (byte_of_cone_run run (Ftb_util.Bits.flip ~bit))
-      done
-  | None -> (
+  if not (cone_into ?fuel ~cone golden ~site flips buf ~pos) then
   match golden.Golden.program.Program.resumable with
   | None -> fallback_site ?fuel golden ~site buf ~pos
   | Some resumable -> (
@@ -92,7 +97,7 @@ let site_into ?fuel ?(cone = true) golden ~site buf ~pos =
             let ctx = Ctx.resume_outcome snap ~fault in
             let result = Runner.outcome_of_run_contained golden fault ctx resume in
             Bytes.set buf (pos + bit) (Ground_truth.byte_of_result result)
-          done))
+          done)
 
 let range_into ?fuel ?cone golden ~lo ~hi buf ~off =
   if lo < 0 || hi < lo || hi > Golden.cases golden then
@@ -149,17 +154,14 @@ let site_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~site buf ~
       (* Any discrete model's corruption is a pure function of the golden
          value, so the cone fast path generalizes exactly as the
          prefix-snapshot path did. Stochastic models stay per-case. *)
-      match
-        if Models.is_stochastic model then None
-        else cone_runner ?fuel ~cone golden ~site
-      with
-      | Some run ->
-          for case = 0 to width - 1 do
-            let dense = (site * width) + case in
-            Bytes.set buf (pos + case)
-              (byte_of_cone_run run (Models.case_corrupt spec ~case:dense))
-          done
-      | None -> (
+      let by_cone =
+        (not (Models.is_stochastic model))
+        && cone_into ?fuel ~cone golden ~site
+             (Array.init width (fun case ->
+                  Models.case_corrupt spec ~case:((site * width) + case)))
+             buf ~pos
+      in
+      if not by_cone then
       let batchable =
         if Models.is_stochastic model then None
         else golden.Golden.program.Program.resumable
@@ -187,7 +189,7 @@ let site_into_model ?fuel ?(cone = true) (spec : Models.spec) golden ~site buf ~
                 in
                 let result = Runner.outcome_of_run_contained golden fault ctx resume in
                 Bytes.set buf (pos + case) (Ground_truth.byte_of_result result)
-              done)))
+              done))
 
 let range_into_model ?fuel ?cone (spec : Models.spec) golden ~lo ~hi buf ~off =
   match spec.Models.model with

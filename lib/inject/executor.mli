@@ -14,13 +14,15 @@
     [Ftb_ir.Pipeline.to_program] additionally carry a cone plan
     ({!Ftb_trace.Program.cone}): per injection site, the precomputed
     forward slice of the site's event through the golden dataflow. Where
-    the plan is exact (the cone stays off float branches and is small),
-    a case is classified by recomputing only the cone members against
-    recorded golden operands — no prefix, no suffix, no output
-    materialization. Sites the plan declines, fuel-limited campaigns, and
-    stochastic models all fall back to the snapshot/per-case paths.
-    [?cone:false] disables the fast path entirely (differential testing,
-    benchmarking the tiers against each other).
+    the plan is exact (the cone stays off float branches; there is no
+    size limit), all of a site's cases are classified in one pass over
+    the cone, one lane per case, against recorded golden operands — no
+    prefix, no suffix, no output materialization. Sites the plan
+    declines, fuel-limited campaigns and stochastic models take the
+    snapshot/per-case paths, and so does a site whose cone evaluation
+    raises (the snapshot path's own containment then gives each case its
+    real outcome). [?cone:false] disables the fast path entirely
+    (differential testing, benchmarking the tiers against each other).
 
     Correctness bar: outcome bytes are bit-identical to the serial engine
     ({!Ground_truth.run}) — the snapshot carries the exact context

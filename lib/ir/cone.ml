@@ -15,115 +15,135 @@ module Program = Ftb_trace.Program
    event through producer->consumer edges — the dependent cone (forward
    slice). Everything outside the cone recomputes its golden value
    bit-identically, so a case's outcome is a pure function of the
-   corrupted seed value and the cone: recompute cone events in execution
-   order against a mix of recomputed (in-cone) and golden (out-of-cone)
-   operands, re-evaluate the guards the cone feeds, and measure the L∞
-   deviation of the output elements whose final writers sit in the cone.
-   No prefix run, no suffix replay, no output-array copy.
+   corrupted seed value and the cone: recompute cone events, producers
+   before consumers, against a mix of recomputed (in-cone) and golden
+   (out-of-cone) operands, re-evaluate the guards the cone feeds, and
+   measure the L∞ deviation of the output elements whose final writers
+   sit in the cone. No prefix run, no suffix replay, no output-array
+   copy.
+
+   All of a site's cases run together, one lane each: every cone member
+   is decoded once per site and applied across the lanes in a tight float
+   loop, so a site costs O(|cone| × width). Each lane performs exactly the
+   IEEE operations of a one-case replay, in the same order.
 
    The specialization is exact only while the corrupted run follows the
    golden control-flow path. Integer state is untaintable by construction
    (fexpr and iexpr are disjoint), so loops cannot diverge; [Fcmp]
    branches can. A cone that feeds any float branch condition is
    therefore rejected ([cone_case] returns [None]) and the executor falls
-   back to prefix-snapshot replay, as it does for oversized cones (no win
-   over suffix replay) and for sites past the plan's horizon. Guards are
-   *not* a rejection reason: a tainted guard is re-evaluated in execution
-   order, and the first non-finite value reproduces the full run's crash
-   reason exactly — mirroring [Ctx.guard_finite] (NaN before Inf) and
-   [Runner.classify] (NaN anywhere in the output dominates, saturated
-   finite differences count as Inf). *)
+   back to prefix-snapshot replay, as it does for sites past the plan's
+   horizon. Guards are *not* a rejection reason: tainted guards are
+   re-evaluated in execution order, and each lane's first non-finite
+   value reproduces the full run's crash reason exactly — mirroring
+   [Ctx.guard_finite] (NaN before Inf) and [Runner.classify] (NaN
+   anywhere in the output dominates, saturated finite differences count
+   as Inf). *)
 
-type fnode = { eval_flat : float array -> float; n_leaves : int }
+(* ------------------------------------------------------------------ *)
+(* Lane templates                                                      *)
 
-(* Compile an fexpr against a flat buffer of leaf values: leaf k (in
-   left-to-right evaluation order) reads [vals.(k)]. The arithmetic is the
-   same IEEE operation sequence as the interpreter's, so results are
-   bit-identical given bit-identical operands. *)
-let compile_flat e =
-  let n = ref 0 in
-  let rec go e =
-    match e with
-    | Ir.Fconst v -> fun (_ : float array) -> v
-    | Ir.Freg _ | Ir.Fload _ ->
-        let k = !n in
-        incr n;
-        fun vals -> vals.(k)
-    | Ir.Fadd (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        fun v -> ca v +. cb v
-    | Ir.Fsub (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        fun v -> ca v -. cb v
-    | Ir.Fmul (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        fun v -> ca v *. cb v
-    | Ir.Fdiv (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        fun v -> ca v /. cb v
-    | Ir.Fneg a ->
-        let ca = go a in
-        fun v -> -.ca v
-    | Ir.Fabs a ->
-        let ca = go a in
-        fun v -> abs_float (ca v)
-    | Ir.Fsqrt a ->
-        let ca = go a in
-        fun v -> sqrt (ca v)
+type op = Mov | Add | Sub | Mul | Div | Neg | Abs | Sqrt
+
+(* One per static float expression: its operations in evaluation order.
+   Operand codes pack a kind in the low two bits — 0: the result of an
+   earlier operation, 1: leaf k (a register or array read, numbered left
+   to right), 2: constant k — and the index above them. The last
+   operation produces the expression's value. *)
+type tmpl = {
+  ops : op array;
+  lhs : int array;
+  rhs : int array;
+  consts : float array;
+  n_leaves : int;
+}
+
+let compile_tmpl e =
+  let ops = ref [] and lhs = ref [] and rhs = ref [] and consts = ref [] in
+  let n_ops = ref 0 and n_leaves = ref 0 and n_consts = ref 0 in
+  let emit op a b =
+    ops := op :: !ops;
+    lhs := a :: !lhs;
+    rhs := b :: !rhs;
+    incr n_ops;
+    (!n_ops - 1) lsl 2
   in
-  let eval = go e in
-  { eval_flat = eval; n_leaves = !n }
+  let rec go = function
+    | Ir.Fconst v ->
+        consts := v :: !consts;
+        incr n_consts;
+        ((!n_consts - 1) lsl 2) lor 2
+    | Ir.Freg _ | Ir.Fload _ ->
+        incr n_leaves;
+        ((!n_leaves - 1) lsl 2) lor 1
+    | Ir.Fadd (a, b) -> binary Add a b
+    | Ir.Fsub (a, b) -> binary Sub a b
+    | Ir.Fmul (a, b) -> binary Mul a b
+    | Ir.Fdiv (a, b) -> binary Div a b
+    | Ir.Fneg a -> emit Neg (go a) 0
+    | Ir.Fabs a -> emit Abs (go a) 0
+    | Ir.Fsqrt a -> emit Sqrt (go a) 0
+  and binary op a b =
+    let a = go a in
+    let b = go b in
+    emit op a b
+  in
+  let root = go e in
+  if root land 3 <> 0 then ignore (emit Mov root 0);
+  let arr l = Array.of_list (List.rev !l) in
+  { ops = arr ops; lhs = arr lhs; rhs = arr rhs; consts = arr consts; n_leaves = !n_leaves }
 
-(* Body pre-compiled once: every float expression carries its fnode so the
-   analysis walk does not recompile per dynamic execution. *)
+(* Body pre-compiled once: every float expression carries the index of
+   its template, shared by all of its dynamic executions. *)
 type cstmt =
-  | CReg of int * Ir.fexpr * fnode * bool  (* reg, expr, node, recorded *)
-  | CStore of int * Ir.iexpr * Ir.fexpr * fnode
+  | CReg of int * Ir.fexpr * int * bool  (* reg, expr, template, recorded *)
+  | CStore of int * Ir.iexpr * Ir.fexpr * int
   | CIassign of int * Ir.iexpr
   | CFor of int * Ir.iexpr * Ir.iexpr * cstmt list
   | CIfF of [ `Lt | `Le | `Gt | `Ge ] * Ir.fexpr * Ir.fexpr * cstmt list * cstmt list
   | CIfI of [ `Lt | `Le | `Eq | `Ne ] * Ir.iexpr * Ir.iexpr * cstmt list * cstmt list
-  | CGuard of Ir.fexpr * fnode * string
+  | CGuard of Ir.fexpr * int
 
-let rec compile_stmt = function
-  | Ir.Fassign (r, e, _) -> CReg ((r :> int), e, compile_flat e, true)
-  | Ir.Flet (r, e) -> CReg ((r :> int), e, compile_flat e, false)
-  | Ir.Store (a, i, e, _) -> CStore ((a :> int), i, e, compile_flat e)
-  | Ir.Iassign (r, e) -> CIassign ((r :> int), e)
-  | Ir.For (r, lo, hi, b) -> CFor ((r :> int), lo, hi, List.map compile_stmt b)
-  | Ir.If (Ir.Fcmp (op, a, b), yes, no) ->
-      CIfF (op, a, b, List.map compile_stmt yes, List.map compile_stmt no)
-  | Ir.If (Ir.Icmp (op, a, b), yes, no) ->
-      CIfI (op, a, b, List.map compile_stmt yes, List.map compile_stmt no)
-  | Ir.Guard (e, w) -> CGuard (e, compile_flat e, w)
+let compile_body body =
+  let tmpls = ref [] and n = ref 0 in
+  let tmpl e =
+    tmpls := compile_tmpl e :: !tmpls;
+    incr n;
+    !n - 1
+  in
+  let rec stmt = function
+    | Ir.Fassign (r, e, _) -> CReg ((r :> int), e, tmpl e, true)
+    | Ir.Flet (r, e) -> CReg ((r :> int), e, tmpl e, false)
+    | Ir.Store (a, i, e, _) -> CStore ((a :> int), i, e, tmpl e)
+    | Ir.Iassign (r, e) -> CIassign ((r :> int), e)
+    | Ir.For (r, lo, hi, b) -> CFor ((r :> int), lo, hi, List.map stmt b)
+    | Ir.If (Ir.Fcmp (op, a, b), yes, no) -> CIfF (op, a, b, List.map stmt yes, List.map stmt no)
+    | Ir.If (Ir.Icmp (op, a, b), yes, no) -> CIfI (op, a, b, List.map stmt yes, List.map stmt no)
+    | Ir.Guard (e, _) -> CGuard (e, tmpl e)
+  in
+  let body = List.map stmt body in
+  (body, Array.of_list (List.rev !tmpls))
 
-type ev = {
-  node : fnode;
-  reads : int array;  (* per leaf: producer event id, -1 = initial data *)
-  read_vals : float array;  (* per leaf: golden value *)
-  golden : float;
-  mutable out_elem : int;  (* output element this event finally writes, -1 *)
-}
+(* ------------------------------------------------------------------ *)
+(* Analysis walk                                                       *)
 
-type guard_rec = {
-  g_node : fnode;
-  g_reads : int array;
-  g_read_vals : float array;
-}
+module Fbuf = Ctx.Fbuf
+module Ibuf = Ctx.Ibuf
 
+(* Events and guards in struct-of-arrays form. An instance (event or
+   guard) names its template and where its leaves start in the shared
+   [leaf_prod]/[leaf_val] arrays: per leaf, the producer event (-1 =
+   initial data) and the golden value read. *)
 type walk = {
-  mutable rev_events : ev list;
-  mutable n_events : int;
-  mutable edges : (int * int) list;  (* producer event -> consumer event *)
-  mutable rev_guards : guard_rec list;
-  mutable n_guards : int;
-  mutable g_edges : (int * int) list;  (* producer event -> guard index *)
-  mutable branch_feeders : int list;
-  mutable rev_sites : int list;
+  ev_tmpl : Ibuf.t;
+  ev_leaf : Ibuf.t;
+  ev_golden : Fbuf.t;
+  g_tmpl : Ibuf.t;
+  g_leaf : Ibuf.t;
+  leaf_prod : Ibuf.t;
+  leaf_val : Fbuf.t;
+  branch_feeders : Ibuf.t;
+  sites : Ibuf.t;
   fregs : float array;
   freg_prod : int array;
   iregs : int array;
@@ -138,69 +158,64 @@ let rec eval_i w = function
   | Ir.Isub (a, b) -> eval_i w a - eval_i w b
   | Ir.Imul (a, b) -> eval_i w a * eval_i w b
 
-(* Evaluate an fexpr, capturing per leaf (left-to-right, matching
-   [compile_flat]'s numbering) the producer event and golden value. *)
-let eval_obs w e =
-  let leaves = ref [] in
-  let rec go = function
-    | Ir.Fconst v -> v
-    | Ir.Freg r ->
-        let ri = (r :> int) in
-        let v = w.fregs.(ri) in
-        leaves := (w.freg_prod.(ri), v) :: !leaves;
-        v
-    | Ir.Fload (a, ie) ->
-        let ai = (a :> int) in
-        let i = eval_i w ie in
-        let v = w.arrays.(ai).(i) in
-        leaves := (w.elem_prod.(ai).(i), v) :: !leaves;
-        v
-    | Ir.Fadd (a, b) ->
-        let x = go a in
-        let y = go b in
-        x +. y
-    | Ir.Fsub (a, b) ->
-        let x = go a in
-        let y = go b in
-        x -. y
-    | Ir.Fmul (a, b) ->
-        let x = go a in
-        let y = go b in
-        x *. y
-    | Ir.Fdiv (a, b) ->
-        let x = go a in
-        let y = go b in
-        x /. y
-    | Ir.Fneg a -> -.go a
-    | Ir.Fabs a -> abs_float (go a)
-    | Ir.Fsqrt a -> sqrt (go a)
-  in
-  let v = go e in
-  let l = List.rev !leaves in
-  (v, Array.of_list (List.map fst l), Array.of_list (List.map snd l))
+(* Evaluate an fexpr, pushing per leaf (left to right, matching
+   [compile_tmpl]'s numbering) the producer event and golden value. *)
+let rec eval_obs w = function
+  | Ir.Fconst v -> v
+  | Ir.Freg r ->
+      let ri = (r :> int) in
+      let v = w.fregs.(ri) in
+      Ibuf.push w.leaf_prod w.freg_prod.(ri);
+      Fbuf.push w.leaf_val v;
+      v
+  | Ir.Fload (a, ie) ->
+      let ai = (a :> int) in
+      let i = eval_i w ie in
+      let v = w.arrays.(ai).(i) in
+      Ibuf.push w.leaf_prod w.elem_prod.(ai).(i);
+      Fbuf.push w.leaf_val v;
+      v
+  | Ir.Fadd (a, b) ->
+      let x = eval_obs w a in
+      let y = eval_obs w b in
+      x +. y
+  | Ir.Fsub (a, b) ->
+      let x = eval_obs w a in
+      let y = eval_obs w b in
+      x -. y
+  | Ir.Fmul (a, b) ->
+      let x = eval_obs w a in
+      let y = eval_obs w b in
+      x *. y
+  | Ir.Fdiv (a, b) ->
+      let x = eval_obs w a in
+      let y = eval_obs w b in
+      x /. y
+  | Ir.Fneg a -> -.eval_obs w a
+  | Ir.Fabs a -> abs_float (eval_obs w a)
+  | Ir.Fsqrt a -> sqrt (eval_obs w a)
 
-let push_event w node reads read_vals golden =
-  let id = w.n_events in
-  w.rev_events <- { node; reads; read_vals; golden; out_elem = -1 } :: w.rev_events;
-  w.n_events <- id + 1;
-  Array.iter (fun p -> if p >= 0 then w.edges <- (p, id) :: w.edges) reads;
-  id
+let push_event w tmpl e =
+  let id = Ibuf.length w.ev_tmpl in
+  Ibuf.push w.ev_tmpl tmpl;
+  Ibuf.push w.ev_leaf (Ibuf.length w.leaf_prod);
+  let v = eval_obs w e in
+  Fbuf.push w.ev_golden v;
+  (id, v)
 
 let rec exec_c w s =
   match s with
-  | CReg (r, e, node, recorded) ->
-      let v, reads, read_vals = eval_obs w e in
-      let id = push_event w node reads read_vals v in
+  | CReg (r, e, tmpl, recorded) ->
+      let id, v = push_event w tmpl e in
       w.fregs.(r) <- v;
       w.freg_prod.(r) <- id;
-      if recorded then w.rev_sites <- id :: w.rev_sites
-  | CStore (a, ie, e, node) ->
+      if recorded then Ibuf.push w.sites id
+  | CStore (a, ie, e, tmpl) ->
       let i = eval_i w ie in
-      let v, reads, read_vals = eval_obs w e in
-      let id = push_event w node reads read_vals v in
+      let id, v = push_event w tmpl e in
       w.arrays.(a).(i) <- v;
       w.elem_prod.(a).(i) <- id;
-      w.rev_sites <- id :: w.rev_sites
+      Ibuf.push w.sites id
   | CIassign (r, e) -> w.iregs.(r) <- eval_i w e
   | CFor (r, lo, hi, body) ->
       let lo = eval_i w lo and hi = eval_i w hi in
@@ -209,44 +224,211 @@ let rec exec_c w s =
         List.iter (exec_c w) body
       done
   | CIfF (op, a, b, yes, no) ->
-      let x, reads_a, _ = eval_obs w a in
-      let y, reads_b, _ = eval_obs w b in
-      let mark reads =
-        Array.iter (fun p -> if p >= 0 then w.branch_feeders <- p :: w.branch_feeders) reads
-      in
-      mark reads_a;
-      mark reads_b;
+      (* The condition's leaves are observed only to mark their producers
+         as branch feeders, then dropped. *)
+      let mark = Ibuf.length w.leaf_prod in
+      let x = eval_obs w a in
+      let y = eval_obs w b in
+      for k = mark to Ibuf.length w.leaf_prod - 1 do
+        let p = Ibuf.get w.leaf_prod k in
+        if p >= 0 then Ibuf.push w.branch_feeders p
+      done;
+      Ibuf.truncate w.leaf_prod mark;
+      Fbuf.truncate w.leaf_val mark;
       let taken = match op with `Lt -> x < y | `Le -> x <= y | `Gt -> x > y | `Ge -> x >= y in
       List.iter (exec_c w) (if taken then yes else no)
   | CIfI (op, a, b, yes, no) ->
       let x = eval_i w a and y = eval_i w b in
       let taken = match op with `Lt -> x < y | `Le -> x <= y | `Eq -> x = y | `Ne -> x <> y in
       List.iter (exec_c w) (if taken then yes else no)
-  | CGuard (e, node, _what) ->
-      let _v, reads, read_vals = eval_obs w e in
-      let gid = w.n_guards in
-      w.rev_guards <- { g_node = node; g_reads = reads; g_read_vals = read_vals } :: w.rev_guards;
-      w.n_guards <- gid + 1;
-      Array.iter (fun p -> if p >= 0 then w.g_edges <- (p, gid) :: w.g_edges) reads
+  | CGuard (e, tmpl) ->
+      Ibuf.push w.g_tmpl tmpl;
+      Ibuf.push w.g_leaf (Ibuf.length w.leaf_prod);
+      ignore (eval_obs w e)
 
-(* Bucket an edge list into CSR adjacency. *)
-let csr ~rows edges =
+(* CSR adjacency from producers to the instances that read them:
+   instance [i]'s leaves are [leaf_prod.(start.(i) ..)], [n_leaves i] of
+   them. *)
+let consumers_csr ~rows ~leaf_prod ~start ~n_leaves =
   let deg = Array.make (rows + 1) 0 in
-  List.iter (fun (p, _) -> deg.(p + 1) <- deg.(p + 1) + 1) edges;
+  let each f =
+    Array.iteri
+      (fun i off ->
+        for k = off to off + n_leaves i - 1 do
+          let p = leaf_prod.(k) in
+          if p >= 0 then f p i
+        done)
+      start
+  in
+  each (fun p _ -> deg.(p + 1) <- deg.(p + 1) + 1);
   for i = 1 to rows do
     deg.(i) <- deg.(i) + deg.(i - 1)
   done;
   let fill = Array.copy deg in
-  let cols = Array.make (List.length edges) 0 in
-  List.iter
-    (fun (p, c) ->
+  let cols = Array.make deg.(rows) 0 in
+  each (fun p c ->
       cols.(fill.(p)) <- c;
-      fill.(p) <- fill.(p) + 1)
-    edges;
+      fill.(p) <- fill.(p) + 1);
   (deg, cols)
 
+(* ------------------------------------------------------------------ *)
+(* Per-domain scratch                                                  *)
+
+(* Reused from site to site (and plan to plan) on one domain, grown to the
+   largest plan seen; the lane rows stay within [lane_budget] floats, or
+   one float per row when a cone has more rows than that. A generation
+   counter replaces clearing:
+   an event is marked for the current traversal or run iff its stamp
+   equals the current generation. *)
+type scratch = {
+  mutable busy : bool;
+  mutable gen : int;
+  mutable stamp : int array;  (* per event *)
+  mutable slot : int array;  (* per event: lane row offset, valid when stamped *)
+  mutable stack : int array;  (* depth-first: events on the path *)
+  mutable cursor : int array;  (* depth-first: next consumer edge per stack entry *)
+  mutable found : int array;  (* depth-first: events in finishing order *)
+  mutable g_stamp : int array;  (* per guard *)
+  mutable lanes : float array;  (* rows of [stride] floats *)
+  mutable t_row : int array;  (* per template op: row offset, or -1 if scalar *)
+  mutable t_val : float array;  (* per template op: the scalar result *)
+  sc : float array;  (* the two scalar operands of the current op *)
+  mutable crash : int array;  (* per lane: 0 none, 1 NaN, 2 Inf *)
+  mutable err : float array;  (* per lane *)
+  mutable nan_out : bool array;  (* per lane *)
+}
+
+let fresh_scratch () =
+  {
+    busy = false;
+    gen = 0;
+    stamp = [||];
+    slot = [||];
+    stack = [||];
+    cursor = [||];
+    found = [||];
+    g_stamp = [||];
+    lanes = [||];
+    t_row = [||];
+    t_val = [||];
+    sc = Array.make 2 0.;
+    crash = [||];
+    err = [||];
+    nan_out = [||];
+  }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* A second user on the same domain (another systhread) gets a private
+   scratch rather than sharing the domain's. *)
+let with_scratch f =
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then f (fresh_scratch ())
+  else begin
+    s.busy <- true;
+    Fun.protect ~finally:(fun () -> s.busy <- false) (fun () -> f s)
+  end
+
+let next_gen s =
+  s.gen <- s.gen + 1;
+  s.gen
+
+let fit_events s n =
+  if Array.length s.stamp < n then begin
+    s.stamp <- Array.make n 0;
+    s.slot <- Array.make n 0;
+    s.stack <- Array.make n 0;
+    s.cursor <- Array.make n 0;
+    s.found <- Array.make n 0
+  end
+
+let fit_guards s n = if Array.length s.g_stamp < n then s.g_stamp <- Array.make n 0
+
+let fit_lanes s ~rows ~ops ~width =
+  if Array.length s.lanes < rows * width then s.lanes <- Array.create_float (rows * width);
+  if Array.length s.t_row < ops then begin
+    s.t_row <- Array.make ops 0;
+    s.t_val <- Array.make ops 0.
+  end;
+  if Array.length s.crash < width then begin
+    s.crash <- Array.make width 0;
+    s.err <- Array.make width 0.;
+    s.nan_out <- Array.make width false
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Lane evaluation                                                     *)
+
+let get (lanes : float array) i = Array.unsafe_get lanes i
+let set (lanes : float array) i v = Array.unsafe_set lanes i v
+
+(* [d <- a op b] across [w] lanes, where a row operand is given by its
+   offset in [s.lanes] and a scalar one by [-1] with its value in
+   [s.sc]. *)
+let apply s w op d a b =
+  let lanes = s.lanes in
+  let x = Array.unsafe_get s.sc 0 and y = Array.unsafe_get s.sc 1 in
+  match op with
+  | Mov -> if a >= 0 then Array.blit lanes a lanes d w else Array.fill lanes d w x
+  | Neg ->
+      if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (-.get lanes (a + l)) done
+      else Array.fill lanes d w (-.x)
+  | Abs ->
+      if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (abs_float (get lanes (a + l))) done
+      else Array.fill lanes d w (abs_float x)
+  | Sqrt ->
+      if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (sqrt (get lanes (a + l))) done
+      else Array.fill lanes d w (sqrt x)
+  | Add ->
+      if a >= 0 && b >= 0 then
+        for l = 0 to w - 1 do
+          set lanes (d + l) (get lanes (a + l) +. get lanes (b + l))
+        done
+      else if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (get lanes (a + l) +. y) done
+      else if b >= 0 then for l = 0 to w - 1 do set lanes (d + l) (x +. get lanes (b + l)) done
+      else Array.fill lanes d w (x +. y)
+  | Sub ->
+      if a >= 0 && b >= 0 then
+        for l = 0 to w - 1 do
+          set lanes (d + l) (get lanes (a + l) -. get lanes (b + l))
+        done
+      else if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (get lanes (a + l) -. y) done
+      else if b >= 0 then for l = 0 to w - 1 do set lanes (d + l) (x -. get lanes (b + l)) done
+      else Array.fill lanes d w (x -. y)
+  | Mul ->
+      if a >= 0 && b >= 0 then
+        for l = 0 to w - 1 do
+          set lanes (d + l) (get lanes (a + l) *. get lanes (b + l))
+        done
+      else if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (get lanes (a + l) *. y) done
+      else if b >= 0 then for l = 0 to w - 1 do set lanes (d + l) (x *. get lanes (b + l)) done
+      else Array.fill lanes d w (x *. y)
+  | Div ->
+      if a >= 0 && b >= 0 then
+        for l = 0 to w - 1 do
+          set lanes (d + l) (get lanes (a + l) /. get lanes (b + l))
+        done
+      else if a >= 0 then for l = 0 to w - 1 do set lanes (d + l) (get lanes (a + l) /. y) done
+      else if b >= 0 then for l = 0 to w - 1 do set lanes (d + l) (x /. get lanes (b + l)) done
+      else Array.fill lanes d w (x /. y)
+
+let scalar op x y =
+  match op with
+  | Mov -> x
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Neg -> -.x
+  | Abs -> abs_float x
+  | Sqrt -> sqrt x
+
+(* The most lane-row floats a site may use per domain (4 MiB): a cone
+   whose rows × width exceed it runs its lanes in chunks. *)
+let lane_budget = 1 lsl 19
+
 let plan (t : Ir.t) : Program.cone_plan =
-  let body = Ir.body t in
+  let body, tmpls = compile_body (Ir.body t) in
   let output = (Ir.output_id t :> int) in
   let tolerance = Ir.tolerance t in
   let arrays =
@@ -254,14 +436,15 @@ let plan (t : Ir.t) : Program.cone_plan =
   in
   let w =
     {
-      rev_events = [];
-      n_events = 0;
-      edges = [];
-      rev_guards = [];
-      n_guards = 0;
-      g_edges = [];
-      branch_feeders = [];
-      rev_sites = [];
+      ev_tmpl = Ibuf.create ();
+      ev_leaf = Ibuf.create ();
+      ev_golden = Fbuf.create ();
+      g_tmpl = Ibuf.create ();
+      g_leaf = Ibuf.create ();
+      leaf_prod = Ibuf.create ();
+      leaf_val = Fbuf.create ();
+      branch_feeders = Ibuf.create ();
+      sites = Ibuf.create ();
       fregs = Array.make (max 1 (Ir.n_fregs t)) 0.;
       freg_prod = Array.make (max 1 (Ir.n_fregs t)) (-1);
       iregs = Array.make (max 1 (Ir.n_iregs t)) 0;
@@ -269,119 +452,211 @@ let plan (t : Ir.t) : Program.cone_plan =
       elem_prod = Array.map (fun a -> Array.make (Array.length a) (-1)) arrays;
     }
   in
-  List.iter (exec_c w) (List.map compile_stmt body);
-  let events = Array.of_list (List.rev w.rev_events) in
-  let n = w.n_events in
-  Array.iteri (fun j p -> if p >= 0 then events.(p).out_elem <- j) w.elem_prod.(output);
-  let row_ptr, consumers = csr ~rows:n w.edges in
-  let g_row_ptr, g_consumers = csr ~rows:n w.g_edges in
-  let feeds_branch = Array.make (max 1 n) false in
-  List.iter (fun p -> feeds_branch.(p) <- true) w.branch_feeders;
-  let site_events = Array.of_list (List.rev w.rev_sites) in
-  let guards = Array.of_list (List.rev w.rev_guards) in
-  let n_guards = Array.length guards in
-  let max_leaves =
-    let m = Array.fold_left (fun m ev -> max m ev.node.n_leaves) 1 events in
-    Array.fold_left (fun m g -> max m g.g_node.n_leaves) m guards
+  List.iter (exec_c w) body;
+  let ev_tmpl = Ibuf.contents w.ev_tmpl and ev_leaf = Ibuf.contents w.ev_leaf in
+  let golden = Fbuf.contents w.ev_golden in
+  let g_tmpl = Ibuf.contents w.g_tmpl and g_leaf = Ibuf.contents w.g_leaf in
+  let leaf_prod = Ibuf.contents w.leaf_prod and leaf_val = Fbuf.contents w.leaf_val in
+  let n = Array.length ev_tmpl and n_guards = Array.length g_tmpl in
+  let out_elem = Array.make n (-1) in
+  Array.iteri (fun j p -> if p >= 0 then out_elem.(p) <- j) w.elem_prod.(output);
+  let row_ptr, consumers =
+    consumers_csr ~rows:n ~leaf_prod ~start:ev_leaf ~n_leaves:(fun e ->
+        tmpls.(ev_tmpl.(e)).n_leaves)
+  in
+  let g_row_ptr, g_consumers =
+    consumers_csr ~rows:n ~leaf_prod ~start:g_leaf ~n_leaves:(fun g ->
+        tmpls.(g_tmpl.(g)).n_leaves)
+  in
+  let feeds_branch = Array.make n false in
+  Array.iter (fun e -> feeds_branch.(e) <- true) (Ibuf.contents w.branch_feeders);
+  let site_events = Ibuf.contents w.sites in
+  let max_ops = Array.fold_left (fun m tp -> max m (Array.length tp.ops)) 1 tmpls in
+  (* Row layout of [s.lanes]: one row per template op, then the guard
+     value row, then one row per cone member, seed first. A row holds
+     [stride] lanes. *)
+  let guard_row = max_ops in
+  let member_row = max_ops + 1 in
+  (* Evaluate template [tp], for the instance whose leaves start at
+     [off], across [width] lanes into the row at [dest]; a leaf whose
+     producer is stamped [gen] reads that producer's row, any other leaf
+     its golden value. *)
+  let eval_into s ~gen ~stride ~width tp off dest =
+    let last = Array.length tp.ops - 1 in
+    let operand code which =
+      let idx = code lsr 2 in
+      match code land 3 with
+      | 0 ->
+          let r = s.t_row.(idx) in
+          if r < 0 then s.sc.(which) <- s.t_val.(idx);
+          r
+      | 1 ->
+          let p = leaf_prod.(off + idx) in
+          if p >= 0 && s.stamp.(p) = gen then s.slot.(p)
+          else begin
+            s.sc.(which) <- leaf_val.(off + idx);
+            -1
+          end
+      | _ ->
+          s.sc.(which) <- tp.consts.(idx);
+          -1
+    in
+    for o = 0 to last do
+      let op = tp.ops.(o) in
+      let a = operand tp.lhs.(o) 0 in
+      let b = match op with Add | Sub | Mul | Div -> operand tp.rhs.(o) 1 | _ -> -1 in
+      if a < 0 && b < 0 && o < last then begin
+        (* Operations on golden values alone stay scalar. *)
+        s.t_row.(o) <- -1;
+        s.t_val.(o) <- scalar op s.sc.(0) s.sc.(1)
+      end
+      else begin
+        let d = if o = last then dest else o * stride in
+        s.t_row.(o) <- d;
+        apply s width op d a b
+      end
+    done
+  in
+  (* A site's lanes run in chunks of [stride], as many as fit
+     [lane_budget] (all of them unless the cone is huge); every chunk
+     decodes each member once. *)
+  let run ~seed ~members ~guards corrupts =
+    let width = Array.length corrupts in
+    let m = Array.length members in
+    let rows = member_row + m in
+    let stride = max 1 (min width (lane_budget / rows)) in
+    let outcomes = Array.make width Program.Cone_masked in
+    with_scratch (fun s ->
+        fit_events s n;
+        fit_lanes s ~rows ~ops:max_ops ~width:stride;
+        let gen = next_gen s in
+        Array.iteri
+          (fun i e ->
+            s.stamp.(e) <- gen;
+            s.slot.(e) <- (member_row + i) * stride)
+          members;
+        let lanes = s.lanes in
+        let g = golden.(seed) in
+        let base = s.slot.(seed) in
+        let lo = ref 0 in
+        while !lo < width do
+          let first = !lo in
+          let width = min stride (width - first) in
+          for l = 0 to width - 1 do
+            lanes.(base + l) <- corrupts.(first + l) g
+          done;
+          for i = 1 to m - 1 do
+            let e = members.(i) in
+            eval_into s ~gen ~stride ~width tmpls.(ev_tmpl.(e)) ev_leaf.(e) s.slot.(e)
+          done;
+          (* Guards in execution order: each lane keeps its first
+             non-finite value's reason. *)
+          let crash = s.crash in
+          Array.fill crash 0 width 0;
+          let alive = ref width and k = ref 0 in
+          let gbase = guard_row * stride in
+          while !alive > 0 && !k < Array.length guards do
+            let gi = guards.(!k) in
+            eval_into s ~gen ~stride ~width tmpls.(g_tmpl.(gi)) g_leaf.(gi) gbase;
+            for l = 0 to width - 1 do
+              let v = lanes.(gbase + l) in
+              if crash.(l) = 0 && not (Ftb_util.Bits.is_finite v) then begin
+                crash.(l) <- (if Float.is_nan v then 1 else 2);
+                decr alive
+              end
+            done;
+            incr k
+          done;
+          let err = s.err and nan_out = s.nan_out in
+          Array.fill err 0 width 0.;
+          Array.fill nan_out 0 width false;
+          Array.iter
+            (fun e ->
+              if out_elem.(e) >= 0 then begin
+                let r = s.slot.(e) and g = golden.(e) in
+                for l = 0 to width - 1 do
+                  let v = lanes.(r + l) in
+                  if Float.is_nan v then nan_out.(l) <- true;
+                  let d = abs_float (v -. g) in
+                  let d = if Float.is_nan d then infinity else d in
+                  if d > err.(l) then err.(l) <- d
+                done
+              end)
+            members;
+          for l = 0 to width - 1 do
+            outcomes.(first + l) <-
+              (match crash.(l) with
+              | 1 -> Program.Cone_crash Ctx.Nan_value
+              | 2 -> Program.Cone_crash Ctx.Inf_value
+              | _ ->
+                  if err.(l) = infinity then
+                    Program.Cone_crash (if nan_out.(l) then Ctx.Nan_value else Ctx.Inf_value)
+                  else if err.(l) <= tolerance then Program.Cone_masked
+                  else Program.Cone_sdc)
+          done;
+          lo := first + width
+        done);
+    outcomes
   in
   let cone_case ~site =
     if site < 0 || site >= Array.length site_events then None
     else begin
       let seed = site_events.(site) in
-      (* Below this, cone replay cannot beat suffix replay; fall back. *)
-      let limit = max 32 ((n - seed) / 2) in
-      let in_cone = Array.make n false in
-      let rec grow acc count stack =
-        match stack with
-        | [] -> Some (acc, count)
-        | e :: rest ->
-            if in_cone.(e) then grow acc count rest
-            else if feeds_branch.(e) || count >= limit then None
-            else begin
-              in_cone.(e) <- true;
-              let stack = ref rest in
-              for k = row_ptr.(e) to row_ptr.(e + 1) - 1 do
-                let c = consumers.(k) in
-                if not in_cone.(c) then stack := c :: !stack
-              done;
-              grow (e :: acc) (count + 1) !stack
+      with_scratch (fun s ->
+          fit_events s n;
+          fit_guards s n_guards;
+          let gen = next_gen s in
+          (* Depth-first from the seed; the reverse of the finishing order
+             is a topological order of the cone (producers before
+             consumers, the seed first), which is all lane evaluation
+             needs — no sort. *)
+          let stamp = s.stamp and stack = s.stack and cursor = s.cursor in
+          let found = s.found in
+          stamp.(seed) <- gen;
+          stack.(0) <- seed;
+          cursor.(0) <- row_ptr.(seed);
+          let top = ref 1 and count = ref 0 and exact = not feeds_branch.(seed) in
+          let exact = ref exact in
+          while !exact && !top > 0 do
+            let e = stack.(!top - 1) and k = cursor.(!top - 1) in
+            if k < row_ptr.(e + 1) then begin
+              cursor.(!top - 1) <- k + 1;
+              let c = consumers.(k) in
+              if stamp.(c) <> gen then begin
+                stamp.(c) <- gen;
+                if feeds_branch.(c) then exact := false
+                else begin
+                  stack.(!top) <- c;
+                  cursor.(!top) <- row_ptr.(c);
+                  incr top
+                end
+              end
             end
-      in
-      match grow [] 0 [ seed ] with
-      | None -> None
-      | Some (members, _count) ->
-          let members = Array.of_list members in
-          Array.sort compare members;
-          let tainted_guards =
-            if n_guards = 0 then [||]
             else begin
-              let mark = Array.make n_guards false in
-              Array.iter
-                (fun e ->
-                  for k = g_row_ptr.(e) to g_row_ptr.(e + 1) - 1 do
-                    mark.(g_consumers.(k)) <- true
-                  done)
-                members;
-              let out = ref [] in
-              for gi = n_guards - 1 downto 0 do
-                if mark.(gi) then out := gi :: !out
-              done;
-              Array.of_list !out
+              decr top;
+              found.(!count) <- e;
+              incr count
             end
-          in
-          (* Scratch shared by all cases of this site (single-threaded). *)
-          let value = Array.make n 0. in
-          let buf = Array.make max_leaves 0. in
-          let fill_buf node reads read_vals =
-            for k = 0 to node.n_leaves - 1 do
-              let p = reads.(k) in
-              buf.(k) <- (if p >= 0 && in_cone.(p) then value.(p) else read_vals.(k))
-            done
-          in
-          Some
-            (fun corrupt ->
-              value.(seed) <- corrupt events.(seed).golden;
-              Array.iter
-                (fun e ->
-                  if e <> seed then begin
-                    let ev = events.(e) in
-                    fill_buf ev.node ev.reads ev.read_vals;
-                    value.(e) <- ev.node.eval_flat buf
-                  end)
-                members;
-              let crash = ref None in
-              (try
-                 Array.iter
-                   (fun gi ->
-                     let g = guards.(gi) in
-                     fill_buf g.g_node g.g_reads g.g_read_vals;
-                     let v = g.g_node.eval_flat buf in
-                     if not (Ftb_util.Bits.is_finite v) then begin
-                       crash :=
-                         Some (if Float.is_nan v then Ctx.Nan_value else Ctx.Inf_value);
-                       raise Exit
-                     end)
-                   tainted_guards
-               with Exit -> ());
-              match !crash with
-              | Some reason -> Program.Cone_crash reason
-              | None ->
-                  let err = ref 0. and nan_seen = ref false in
-                  Array.iter
-                    (fun e ->
-                      let ev = events.(e) in
-                      if ev.out_elem >= 0 then begin
-                        let v = value.(e) in
-                        if Float.is_nan v then nan_seen := true;
-                        let d = abs_float (v -. ev.golden) in
-                        let d = if Float.is_nan d then infinity else d in
-                        if d > !err then err := d
-                      end)
-                    members;
-                  if !err = infinity then
-                    Program.Cone_crash (if !nan_seen then Ctx.Nan_value else Ctx.Inf_value)
-                  else if !err <= tolerance then Program.Cone_masked
-                  else Program.Cone_sdc)
+          done;
+          if not !exact then None
+          else begin
+            let m = !count in
+            let members = Array.init m (fun i -> found.(m - 1 - i)) in
+            let guards = ref [] in
+            Array.iter
+              (fun e ->
+                for k = g_row_ptr.(e) to g_row_ptr.(e + 1) - 1 do
+                  let gi = g_consumers.(k) in
+                  if s.g_stamp.(gi) <> gen then begin
+                    s.g_stamp.(gi) <- gen;
+                    guards := gi :: !guards
+                  end
+                done)
+              members;
+            let guards = Array.of_list !guards in
+            Array.sort Int.compare guards;
+            Some (run ~seed ~members ~guards)
+          end)
     end
   in
   { Program.cone_sites = Array.length site_events; cone_case }

@@ -31,6 +31,43 @@ exception Crash of { reason : crash_reason; what : string }
     (modelling a NaN trap or a kernel's own sanity guard), by the fuel
     watchdog inside {!record}, or by kernels directly. *)
 
+(** Growable float buffer (OCaml 5.1 has no [Dynarray] yet), the storage
+    of a trace {!sink}; other analyses that build arrays of unknown
+    length reuse it. *)
+module Fbuf : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val push : t -> float -> unit
+
+  val get : t -> int -> float
+  (** Raises [Invalid_argument] outside [0, length). *)
+
+  val contents : t -> float array
+  (** A fresh copy of the [length] pushed values. *)
+
+  val reset : t -> unit
+  (** Drop every value, keeping the storage. *)
+
+  val truncate : t -> int -> unit
+  (** [truncate t n] drops every value from index [n] on. Raises
+      [Invalid_argument] unless [0 <= n <= length t]. *)
+end
+
+(** {!Fbuf} for ints. *)
+module Ibuf : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val push : t -> int -> unit
+  val get : t -> int -> int
+  val contents : t -> int array
+  val reset : t -> unit
+  val truncate : t -> int -> unit
+end
+
 type t
 (** A context. Single use: one context drives exactly one run. *)
 

@@ -4,7 +4,7 @@ type cone_outcome = Cone_masked | Cone_sdc | Cone_crash of Ctx.crash_reason
 
 type cone_plan = {
   cone_sites : int;
-  cone_case : site:int -> ((float -> float) -> cone_outcome) option;
+  cone_case : site:int -> ((float -> float) array -> cone_outcome array) option;
 }
 
 type t = {

@@ -21,16 +21,18 @@ type cone_plan = {
   cone_sites : int;
       (** number of injection sites the plan covers — must equal the
           golden site count or the executor discards the plan *)
-  cone_case : site:int -> ((float -> float) -> cone_outcome) option;
+  cone_case : site:int -> ((float -> float) array -> cone_outcome array) option;
       (** [cone_case ~site] specializes the program to injection site
-          [site]: the returned closure takes the corruption function,
-          replays only the site's dependent cone (forward slice) against
-          precomputed golden values, and classifies the outcome — no
-          prefix, no suffix, no output copy. [None] when the site's cone is
-          imprecise (feeds a float branch, or too large to pay off); the
-          caller must fall back to full or prefix-snapshot replay. The
-          closure is single-threaded (it reuses scratch buffers); obtain
-          one per domain. *)
+          [site]. The returned closure takes one corruption function per
+          case (a lane), replays only the site's dependent cone (forward
+          slice) once across all lanes against precomputed golden values,
+          and returns one outcome per lane, in order — no prefix, no
+          suffix, no output copy. [None] when the site's cone is imprecise
+          (it feeds a float branch, whose outcome a corruption could flip)
+          or [site] is out of range; the caller must fall back to full or
+          prefix-snapshot replay. A closure owns its cone: closures for
+          different sites may be run in any order, any number of times,
+          and from any domain (working storage is per domain). *)
 }
 (** A site-suffix specializer: per-site dependent-cone replay. *)
 

@@ -6,9 +6,12 @@
    through [Ir.to_program_interpreted] (the tree-walking reference) — and
    an exhaustive campaign per fault model must produce bit-identical
    outcome bytes. Also asserts the cone fast path is actually taken
-   (a plan exists and accepts sites) so a silent fallback regression
-   cannot pass the gate, and that the optimizer shrank at least one
-   kernel. Small configs: the whole smoke is a few seconds. *)
+   (a plan exists and accepts sites, and its closures, called directly
+   outside the executor's containment, raise nowhere and reproduce the
+   reference bytes) so a silent fallback regression cannot pass the
+   gate, that the suite's cg and lu are cone-exact at every site (no
+   cone-size cap), and that the optimizer shrank at least one kernel.
+   Small configs: the whole smoke is a few seconds. *)
 
 module Ir = Ftb_ir.Ir
 module Passes = Ftb_ir.Passes
@@ -44,6 +47,44 @@ let specs =
   List.map (fun model -> { Models.model; seed = 0 }) Models.all_discrete
   @ [ { Models.model = Models.Random_value { lo = -4.; hi = 4. }; seed = 9 } ]
 
+let discrete_specs =
+  List.filter (fun (s : Models.spec) -> not (Models.is_stochastic s.model)) specs
+
+let accepted_sites plan =
+  let accepted = ref 0 in
+  for site = 0 to plan.Program.cone_sites - 1 do
+    if plan.Program.cone_case ~site <> None then incr accepted
+  done;
+  !accepted
+
+let byte_of_cone = function
+  | Program.Cone_masked -> '\000'
+  | Program.Cone_sdc -> '\001'
+  | Program.Cone_crash reason -> Ground_truth.crash_byte reason
+
+(* The plan's own bytes under [spec]: every accepted site's closure
+   called directly, with no containment, so a closure that raises is
+   counted here rather than sent to the snapshot path by the executor.
+   Declined sites keep [fallback]'s bytes. Returns the bytes and the
+   number of sites whose closure raised. *)
+let cone_bytes plan spec fallback =
+  let width = Models.spec_width spec in
+  let buf = Bytes.of_string fallback in
+  let raised = ref 0 in
+  for site = 0 to plan.Program.cone_sites - 1 do
+    match plan.Program.cone_case ~site with
+    | None -> ()
+    | Some run -> (
+        let corrupts =
+          Array.init width (fun case -> Models.case_corrupt spec ~case:((site * width) + case))
+        in
+        match run corrupts with
+        | outcomes ->
+            Array.iteri (fun i o -> Bytes.set buf ((site * width) + i) (byte_of_cone o)) outcomes
+        | exception _ -> incr raised)
+  done;
+  (Bytes.to_string buf, !raised)
+
 let reference_bytes spec golden =
   let total = Models.total_cases spec ~sites:(Golden.sites golden) in
   String.init total (fun case -> Ground_truth.case_byte_model spec golden case)
@@ -75,14 +116,21 @@ let () =
           match force () with
           | None -> check (name ^ ": cone plan builds") false
           | Some plan ->
-              let accepted = ref 0 in
-              for site = 0 to plan.Program.cone_sites - 1 do
-                if plan.Program.cone_case ~site <> None then incr accepted
-              done;
+              let accepted = accepted_sites plan in
               check
-                (Printf.sprintf "%s: cone accepts %d/%d sites" name !accepted
+                (Printf.sprintf "%s: cone accepts %d/%d sites" name accepted
                    plan.Program.cone_sites)
-                (!accepted > 0)));
+                (accepted > 0);
+              List.iter
+                (fun spec ->
+                  let expected = reference_bytes spec interp in
+                  let bytes, raised = cone_bytes plan spec expected in
+                  check
+                    (Printf.sprintf "%s: %s closures called directly = interpreted reference \
+                                     (%d raised)"
+                       name (Models.spec_name spec) raised)
+                    (raised = 0 && String.equal expected bytes))
+                discrete_specs));
       List.iter
         (fun spec ->
           let expected = reference_bytes spec interp in
@@ -94,6 +142,32 @@ let () =
         specs)
     kernels;
   check "pipeline shrinks at least one kernel" !shrunk;
+  (* No cone-size cap: at their suite configurations, cg and lu (whose
+     big cones a cap once sent to the snapshot tier) are cone-exact at
+     every site. *)
+  List.iter
+    (fun name ->
+      match (Ftb_kernels.Suite.find name).Program.cone with
+      | None -> check (name ^ " (suite): cone capability attached") false
+      | Some force -> (
+          match force () with
+          | None -> check (name ^ " (suite): cone plan builds") false
+          | Some plan ->
+              let accepted = accepted_sites plan in
+              check
+                (Printf.sprintf "%s (suite): cone accepts every site (%d/%d)" name accepted
+                   plan.Program.cone_sites)
+                (accepted = plan.Program.cone_sites);
+              List.iter
+                (fun spec ->
+                  let total = Models.total_cases spec ~sites:plan.Program.cone_sites in
+                  let _, raised = cone_bytes plan spec (String.make total '\000') in
+                  check
+                    (Printf.sprintf "%s (suite): %s closures raise at no site (%d raised)" name
+                       (Models.spec_name spec) raised)
+                    (raised = 0))
+                discrete_specs))
+    [ "ir.cg"; "ir.lu" ];
   if !failures > 0 then begin
     Printf.printf "ir smoke: %d failure(s)\n%!" !failures;
     exit 1

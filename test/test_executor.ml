@@ -257,6 +257,34 @@ let prop_batched_identity =
       let batched = (Executor.ground_truth ?fuel ~domains:1 golden).Ground_truth.outcomes in
       Bytes.equal reference batched)
 
+(* Cone containment: a cone plan whose batched evaluator raises must not
+   stamp [Exception_raised] on every case of the site. The executor reruns
+   such a site through the snapshot path, so the bytes equal the same
+   program's with the cone tier switched off. *)
+let test_raising_cone_reruns_site () =
+  let program =
+    Ftb_ir.Pipeline.to_program
+      (Ftb_ir.Programs.stencil3 ~n:6 ~sweeps:2 ~seed:4 ~tolerance:1e-6)
+  in
+  let force () =
+    Some
+      {
+        Ftb_trace.Program.cone_sites = Golden.sites (Golden.run program);
+        cone_case = (fun ~site:_ -> Some (fun _ -> failwith "cone evaluator fault"));
+      }
+  in
+  let raising = Golden.run (Ftb_trace.Program.with_cone program force) in
+  let plain = Golden.run program in
+  List.iter
+    (fun spec ->
+      let got = Executor.ground_truth_model ~domains:1 spec raising in
+      let want = Executor.ground_truth_model ~domains:1 ~cone:false spec plain in
+      Alcotest.(check bool)
+        (Models.spec_name spec ^ ": raising cone = cone:false bytes")
+        true
+        (Bytes.equal want.Ground_truth.outcomes got.Ground_truth.outcomes))
+    (List.map (fun model -> { Models.model; seed = 0 }) Models.all_discrete)
+
 let suite =
   [
     Alcotest.test_case "site_into = serial bytes" `Quick test_site_into_matches_serial;
@@ -278,5 +306,7 @@ let suite =
     Alcotest.test_case "model fuel identity" `Quick test_model_fuel_identity;
     Alcotest.test_case "stochastic replay is scheduling-independent" `Quick
       test_model_stochastic_replay_identical;
+    Alcotest.test_case "raising cone plan reruns the site" `Quick
+      test_raising_cone_reruns_site;
     QCheck_alcotest.to_alcotest prop_batched_identity;
   ]
